@@ -52,8 +52,8 @@ object BenchDatasets {
 
   private val cache = scala.collection.mutable.HashMap.empty[String, (Array[Tx], Array[Tx])]
 
-  /** Paper numbers recorded next to ours (EXPERIMENTS.md carries the full
-    * side-by-side; benches print these for quick eyeballing).
+  /** Paper numbers recorded next to ours; benches print them beside their
+    * own for quick eyeballing.
     */
   object PaperNumbers {
     /** Table 4 static columns, seconds (DG, DW, FD) per dataset. */

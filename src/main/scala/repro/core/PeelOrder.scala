@@ -21,6 +21,12 @@ final case class Community(density: Double, members: Array[Int]) {
   * array index of `v`, so positions stay valid when `start` moves left.
   * Incremental reordering rewrites only the affected window `[a, b)` of the
   * arrays — the whole point of the paper is that this window is tiny.
+  *
+  * `Detect` walks back from the tail and stops as soon as no longer suffix
+  * can qualify. The stop test reads a block-max index: the max `Δ` of each
+  * block of 256 absolute indices and its running max over blocks. Writes
+  * only widen a dirty range; the next walk re-scans the dirty blocks, which
+  * costs as much as the write-back that dirtied them.
   */
 final class PeelOrder private (
     private var seqArr: Array[Int],
@@ -29,6 +35,15 @@ final class PeelOrder private (
     private var startIdx: Int,
     private var endIdx: Int,
 ) {
+  import PeelOrder._
+
+  // blockMax(b): max Δ over block b ∩ [start, end); prefixMax(b): max of
+  // blockMax(0..b). Valid outside the dirty range [dirtyLo, dirtyHi).
+  private var blockMax = new Array[Double](blocksFor(wtArr.length))
+  private var prefixMax = new Array[Double](blockMax.length)
+  private var dirtyLo = 0
+  private var dirtyHi = wtArr.length
+  private var walked = 0
 
   /** First (inclusive) absolute index of the sequence. */
   def start: Int = startIdx
@@ -51,8 +66,16 @@ final class PeelOrder private (
   /** True iff vertex `v` is part of the order. */
   def containsVertex(v: Int): Boolean = v >= 0 && v < posArr.length && posArr(v) >= 0
 
+  /** Entries the last `detect` / `detectThreshold` walk visited, tail first. */
+  def lastWalkLength: Int = walked
+
   @inline private def checkIdx(p: Int): Unit =
     require(p >= startIdx && p < endIdx, s"index $p outside [$startIdx, $endIdx)")
+
+  @inline private def markDirty(p: Int): Unit = {
+    if (p < dirtyLo) dirtyLo = p
+    if (p >= dirtyHi) dirtyHi = p + 1
+  }
 
   /** Overwrite the entry at absolute index `p` (used by window write-back). */
   def set(p: Int, v: Int, w: Double): Unit = {
@@ -60,6 +83,7 @@ final class PeelOrder private (
     seqArr(p) = v
     wtArr(p) = w
     posArr(v) = p
+    markDirty(p)
   }
 
   /** Grow the vertex-id space of `posOf` (new ids map to -1). */
@@ -91,11 +115,15 @@ final class PeelOrder private (
       var p = room
       while (p < room + endIdx) { posArr(ns(p)) = p; p += 1 }
       startIdx += room; endIdx += room
+      blockMax = new Array[Double](blocksFor(newLen))
+      prefixMax = new Array[Double](blockMax.length)
+      dirtyLo = 0; dirtyHi = newLen
     }
     startIdx -= 1
     seqArr(startIdx) = v
     wtArr(startIdx) = w
     posArr(v) = startIdx
+    markDirty(startIdx)
   }
 
   /** The peeling order as vertices, head first. */
@@ -109,67 +137,109 @@ final class PeelOrder private (
   /** `Detect()` of Listing 1: the argmax-density prefix-set.
     *
     * `f(S_i) = Σ_{j>i} Δ_j` (the peel weights telescope the metric), so a
-    * single backward pass over the weight vector finds
+    * backward walk over the weight vector finds
     * `arg max_i g(S_i) = f(S_i)/|S_i|`. Ties prefer the *larger* set, so a
     * union of equally dense fraud blocks is returned whole (Appendix B,
-    * Fig. 14). O(length).
+    * Fig. 14). The walk stops at the community (see `walk`).
     */
   def detect(): Community = {
-    var suffix = 0.0
-    var bestDensity = Double.NegativeInfinity
-    var bestIdx = endIdx
-    var p = endIdx - 1
-    while (p >= startIdx) {
-      suffix += wtArr(p)
-      val dens = suffix / (endIdx - p)
-      if (dens >= bestDensity) { bestDensity = dens; bestIdx = p }
-      p -= 1
-    }
-    val members = java.util.Arrays.copyOfRange(seqArr, bestIdx, endIdx)
-    Community(if (bestIdx == endIdx) 0.0 else bestDensity, members)
+    val w = walk(1.0)
+    community(w.best, w.bestIdx)
   }
 
   /** Fig.-14 semantics for *spotting*: the largest suffix-set whose density
     * is still within `beta` of the best — equally dense fraud instances
     * "commonly form a dense subgraph" and are all returned, without paying
-    * for a full enumeration per update. Two O(length) passes.
+    * for a full enumeration per update. A suffix qualifies when its density
+    * reaches `beta · best · (1 - CutTolerance)`. One pruned walk.
     */
   def detectThreshold(beta: Double): Community = {
     require(beta > 0 && beta <= 1, s"beta must be in (0, 1], got $beta")
-    var suffix = 0.0
-    var best = Double.NegativeInfinity
-    var p = endIdx - 1
-    while (p >= startIdx) {
-      suffix += wtArr(p)
-      val dens = suffix / (endIdx - p)
-      if (dens > best) best = dens
-      p -= 1
-    }
-    if (length == 0) return Community(0.0, Array.empty)
-    val cut = beta * best
-    suffix = 0.0
-    var bestIdx = endIdx
-    p = endIdx - 1
-    while (p >= startIdx) {
-      suffix += wtArr(p)
-      val dens = suffix / (endIdx - p)
-      if (dens >= cut - 1e-12) bestIdx = p
-      p -= 1
-    }
-    val members = java.util.Arrays.copyOfRange(seqArr, bestIdx, endIdx)
-    Community(best, members)
+    val w = walk(beta)
+    community(w.best, w.cutIdx)
   }
 
-  /** Density of the whole vertex set, `g(S_0)` — sanity hook for tests. */
-  def totalDensity: Double = {
-    var s = 0.0
-    var p = startIdx
-    while (p < endIdx) { s += wtArr(p); p += 1 }
-    if (length == 0) 0.0 else s / length
+  private def community(best: Double, idx: Int): Community =
+    Community(if (idx == endIdx) 0.0 else best, java.util.Arrays.copyOfRange(seqArr, idx, endIdx))
+
+  /** The one backward walk behind both detectors. It tracks the argmax
+    * suffix (ties to the larger set) and the longest suffix reaching
+    * `cut = beta · best · (1 - CutTolerance)`. `best` only grows, so every
+    * suffix longer than the final argmax is tested against the final `cut`;
+    * shorter ones cannot be the answer, since the argmax itself qualifies.
+    *
+    * Stop rule, exact by the mediant inequality
+    * `(a+b)/(m+k) ≤ max(a/m, b/k)`: at a block boundary `p`, if the current
+    * suffix density is below `cut` and every `Δ` in `[start, p)` is below
+    * `cut` too, every longer suffix is below `cut ≤ best`, so neither answer
+    * can change. The `Slack` margin keeps that true for the float-rounded
+    * densities of the suffixes the walk skips (it covers summation rounding
+    * up to ~10^6 entries). Cost: O(|answer| + 256) once the community
+    * stands out, O(length) when it does not.
+    */
+  private def walk(beta: Double): Walk = {
+    refreshBlocks()
+    var suffix = 0.0
+    var best = Double.NegativeInfinity
+    var cut = Double.NegativeInfinity
+    var bestIdx = endIdx
+    var cutIdx = endIdx
+    var stop = false
+    var p = endIdx
+    while (p > startIdx && !stop) {
+      p -= 1
+      suffix += wtArr(p)
+      val dens = suffix / (endIdx - p)
+      if (dens >= best) {
+        best = dens; bestIdx = p; cutIdx = p
+        cut = beta * best * (1 - CutTolerance)
+      } else if (dens >= cut) cutIdx = p
+      if ((p & BlockMask) == 0 && p > startIdx)
+        stop = dens < cut && prefixMax((p >> BlockBits) - 1) < cut * (1 - Slack)
+    }
+    walked = endIdx - p
+    Walk(best, bestIdx, cutIdx)
+  }
+
+  /** Re-scan the dirty blocks, then redo the running max from the first. */
+  private def refreshBlocks(): Unit = if (dirtyLo < dirtyHi) {
+    val b0 = dirtyLo >> BlockBits
+    val b1 = (dirtyHi - 1) >> BlockBits
+    var b = b0
+    while (b <= b1) {
+      var m = Double.NegativeInfinity
+      var p = math.max(b << BlockBits, startIdx)
+      val until = math.min((b + 1) << BlockBits, endIdx)
+      while (p < until) { if (wtArr(p) > m) m = wtArr(p); p += 1 }
+      blockMax(b) = m
+      b += 1
+    }
+    var run = if (b0 == 0) Double.NegativeInfinity else prefixMax(b0 - 1)
+    b = b0
+    while (b < blockMax.length) {
+      if (blockMax(b) > run) run = blockMax(b)
+      prefixMax(b) = run
+      b += 1
+    }
+    dirtyLo = Int.MaxValue; dirtyHi = Int.MinValue
   }
 }
 
 object PeelOrder {
+
+  /** Relative tolerance of the β-cut: a suffix within `CutTolerance` of
+    * `beta · best` still qualifies, whatever the metric's density scale.
+    */
+  val CutTolerance = 1e-9
+
+  /** Relative margin of the walk's stop test against float rounding. */
+  private val Slack = 1e-9
+
+  private val BlockBits = 8
+  private val BlockMask = (1 << BlockBits) - 1
+  private def blocksFor(capacity: Int): Int = (capacity >> BlockBits) + 1
+
+  private final case class Walk(best: Double, bestIdx: Int, cutIdx: Int)
 
   /** Build an order from parallel vertex/weight arrays (head first), leaving
     * head room for future prepends. `maxVertexId` sizes the position index.

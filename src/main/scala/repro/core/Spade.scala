@@ -42,7 +42,8 @@ object ReorderStats {
   *  - `insertGrouped`      — §4.3 edge grouping: benign edges buffer, an
   *                           urgent edge (Definition 4.1) flushes the buffer
   *  - `deleteEdge`         — Appendix C.1 extension
-  *  - `detect`             — densest prefix community (O(|V|) walk)
+  *  - `detect`             — densest prefix community (a backward walk
+  *                           that stops at the community, see `PeelOrder`)
   *
   * Implementation choices (see DESIGN.md):
   *  - weight *recovery* recomputes `w_v` from adjacency against the current
@@ -123,7 +124,9 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
   // Detection
   // ------------------------------------------------------------------
 
-  /** Recompute the densest prefix community (O(|V|)) and cache it. */
+  /** Recompute the densest prefix community and cache it. The walk costs
+    * O(|community| + 256) once the community stands out, O(|V|) at worst.
+    */
   def detect(): Community = {
     lastCommunity = _order.detect()
     cachedDensity = lastCommunity.density
@@ -132,7 +135,7 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
 
   /** Spotting variant (Fig. 14): every vertex in the largest suffix within
     * `beta` of the best density — equally dense fraud instances are all
-    * reported, not only the single argmax. O(|V|).
+    * reported, not only the single argmax. Same pruned walk as `detect`.
     */
   def detectSuspects(beta: Double = 0.6): Community = _order.detectThreshold(beta)
 

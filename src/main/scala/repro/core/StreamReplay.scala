@@ -86,7 +86,7 @@ object StreamReplay {
     * A batch flushes when `batchSize` edges have queued; the flush runs the
     * Algorithm-2 reorder. `detect` runs every `detectEvery` flushes —
     * Table 4 measures pure maintenance time, so tiny batch sizes use a
-    * coarser detection cadence to keep the O(|V|) density walk out of the
+    * coarser detection cadence to keep the density walk out of the
     * per-edge numbers (the reported `maintenanceNanos` never includes it
     * either way).
     */

@@ -112,6 +112,63 @@ object TestUtil {
     }
   }
 
+  /** Reference `Detect`: the full O(length) backward walk that
+    * `PeelOrder.detect` prunes. Ties prefer the larger suffix.
+    */
+  def fullDetect(o: PeelOrder): Community = {
+    var suffix = 0.0
+    var best = Double.NegativeInfinity
+    var bestIdx = o.end
+    var p = o.end - 1
+    while (p >= o.start) {
+      suffix += o.weightAt(p)
+      val dens = suffix / (o.end - p)
+      if (dens >= best) { best = dens; bestIdx = p }
+      p -= 1
+    }
+    Community(if (bestIdx == o.end) 0.0 else best, (bestIdx until o.end).map(o.vertexAt).toArray)
+  }
+
+  /** Reference spotting walk: one full pass for the best density, a second
+    * for the longest suffix reaching `beta · best · (1 - CutTolerance)`.
+    */
+  def fullDetectThreshold(o: PeelOrder, beta: Double): Community = {
+    if (o.length == 0) return Community(0.0, Array.empty)
+    var suffix = 0.0
+    var best = Double.NegativeInfinity
+    var p = o.end - 1
+    while (p >= o.start) {
+      suffix += o.weightAt(p)
+      best = math.max(best, suffix / (o.end - p))
+      p -= 1
+    }
+    val cut = beta * best * (1 - PeelOrder.CutTolerance)
+    suffix = 0.0
+    var cutIdx = o.end
+    p = o.end - 1
+    while (p >= o.start) {
+      suffix += o.weightAt(p)
+      if (suffix / (o.end - p) >= cut) cutIdx = p
+      p -= 1
+    }
+    Community(best, (cutIdx until o.end).map(o.vertexAt).toArray)
+  }
+
+  /** The pruned detectors return exactly what the full walks return: the
+    * same members in the same order and a bit-identical density.
+    */
+  def assertDetectMatchesFull(o: PeelOrder, clue: String = ""): Unit = {
+    def same(got: Community, want: Community, what: String): Unit = {
+      assert(got.density == want.density, s"$clue: $what density ${got.density} vs ${want.density}")
+      assert(got.members.sameElements(want.members),
+        s"$clue: $what members differ (|got|=${got.size}, |want|=${want.size})")
+    }
+    same(o.detect(), fullDetect(o), "detect")
+    Seq(1.0, 0.9, 0.6, 0.3, 0.05).foreach { beta =>
+      same(o.detectThreshold(beta), fullDetectThreshold(o, beta), s"detectThreshold($beta)")
+    }
+  }
+
   /** Deterministic random transaction stream over a dense id space.
     * Amounts are dyadic rationals (multiples of 0.25) so DW sums are exact
     * in binary floating point — every tie is a true tie.
