@@ -86,6 +86,12 @@ final class PeelOrder private (
     markDirty(p)
   }
 
+  /** Take `v` out of the order until `set` writes it back: `posOf(v)` reads
+    * -1 meanwhile. The reorder uses it for a vertex emitted before the scan
+    * reaches its slot, so every position test sees it as already peeled.
+    */
+  private[core] def vacate(v: Int): Unit = posArr(v) = -1
+
   /** Grow the vertex-id space of `posOf` (new ids map to -1). */
   def ensureVertex(id: Int): Unit = {
     if (id >= posArr.length) {

@@ -41,7 +41,8 @@ object ReorderStats {
   *                           gray / white coloring avoids stale work)
   *  - `insertGrouped`      — §4.3 edge grouping: benign edges buffer, an
   *                           urgent edge (Definition 4.1) flushes the buffer
-  *  - `deleteEdge`         — Appendix C.1 extension
+  *  - `deleteEdge`         — Appendix C.1: a backward cut, then the same
+  *                           merge with both endpoints hoisted to the cut
   *  - `detect`             — densest prefix community (a backward walk
   *                           that stops at the community, see `PeelOrder`)
   *
@@ -51,8 +52,12 @@ object ReorderStats {
   *    `O(|E_T|)` bound, but immune to bookkeeping drift;
   *  - every heap breaks ties on `(weight, id)`, so the maintained sequence is
   *    *bit-identical* to a static re-peel of the updated weighted graph;
+  *  - one merge kernel (`reorderWindow`) serves single, batch and deletion
+  *    updates;
   *  - the reorder rewrites only the affected window of the sequence arrays;
-  *    the tail is left untouched (this is where the microseconds come from).
+  *    the tail is left untouched (this is where the microseconds come from);
+  *  - updates are validated before anything is mutated, so a malformed edge
+  *    rejects its whole batch and leaves the state as it was.
   */
 final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
 
@@ -146,8 +151,11 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
   /** Insert one edge and reorder the affected peeling subsequence (§4.1). */
   def insertEdge(t: Tx): ReorderStats = insertBatchEdges(Seq(t))
 
-  /** Insert a batch of edges and reorder once (Algorithm 2). */
+  /** Insert a batch of edges and reorder once (Algorithm 2). The whole batch
+    * is validated first, so a malformed edge rejects it before any change.
+    */
   def insertBatchEdges(txs: Seq[Tx]): ReorderStats = {
+    txs.foreach(validate)
     if (!loaded) { loadGraph(txs); return ReorderStats.zero }
     if (txs.isEmpty) return ReorderStats.zero
 
@@ -175,29 +183,49 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
       if (blackMark(t.src) != epoch) { blackMark(t.src) = epoch; blacks += t.src }
       if (blackMark(t.dst) != epoch) { blackMark(t.dst) = epoch; blacks += t.dst }
     }
-    reorderWindow(blacks, newVerts)
-  }
-
-  /** The merge loop shared by single-edge and batch insertion. `blacks` must
-    * already be marked with the current epoch.
-    */
-  private def reorderWindow(blacks: mutable.ArrayBuffer[Int], newVerts: Int): ReorderStats = {
-    val end = _order.end
     val blackPos = blacks.map(_order.posOf).toArray
     java.util.Arrays.sort(blackPos)
-    val firstBlack = blackPos(0)
+    reorderWindow(blackPos(0), Array.emptyIntArray, blackPos, newVerts)
+  }
+
+  /** Reject a transaction that the graph or the metric cannot take: a
+    * negative id, a self-loop, or an edge weight that is not finite and
+    * positive. Runs before anything is mutated.
+    */
+  private def validate(t: Tx): Unit = {
+    require(t.src >= 0 && t.dst >= 0, s"vertex ids must be non-negative: $t")
+    require(t.src != t.dst, s"self-loop rejected: $t")
+    val c = metric.esusp(t, graph)
+    require(c > 0 && !c.isInfinite, s"${metric.name} edge weight must be finite and positive, got $c for $t")
+  }
+
+  /** The merge kernel behind every update (§4.1, Algorithm 2, Appendix C.1).
+    * The scan starts at `cut`. `hoisted` vertices enter the heap there
+    * (deletion's endpoints, whose weight fell); every other black vertex
+    * enters when the scan reaches its slot in `blackPos` (sorted). All of
+    * them must already be marked black with the current epoch.
+    *
+    * Insertion only raises weights, so a vertex never pops before the scan
+    * reaches its slot. A hoisted vertex can: it is *emitted early*, leaves
+    * the active set at once (`PeelOrder.vacate`), and its old slot becomes a
+    * hole that the scan skips. Its neighbours at or after the frontier still
+    * count it in their stored `Δ`, so they enter the heap too.
+    */
+  private def reorderWindow(cut: Int, hoisted: Array[Int], blackPos: Array[Int],
+                            newVerts: Int): ReorderStats = {
+    val end = _order.end
 
     heap.clear()
-    var k = firstBlack
-    var windowStart = firstBlack
+    var k = cut
+    var windowStart = cut
     var bufLen = 0
     var recovered = 0
     var emittedTotal = 0
     var edgesTouched = 0L
     var bpIdx = 0
+    var ahead = 0 // heap members whose slot the scan has not reached yet
 
     @inline def isGray(v: Int): Boolean = grayEpoch(v) == epoch && grayCnt(v) > 0
-    @inline def isAffected(v: Int): Boolean = blackMark(v) == epoch || isGray(v)
 
     @inline def bumpGray(x: Int): Unit = {
       if (grayEpoch(x) != epoch) { grayEpoch(x) = epoch; grayCnt(x) = 0 }
@@ -205,9 +233,10 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     }
 
     // A vertex is still *active* (unpeeled in the order being built) iff it
-    // is pending in the heap, or it sits at/after the scan frontier. Both
-    // emitted and jump-skipped vertices have (possibly stale) positions
-    // strictly before the frontier, so one position test covers them.
+    // is pending in the heap, or it sits at/after the scan frontier. Emitted
+    // and jump-skipped vertices have (possibly stale) positions strictly
+    // before the frontier, and an early-emitted one has none, so one
+    // position test covers them all.
     @inline def active(x: Int): Boolean = heap.contains(x) || _order.posOf(x) >= k
 
     // A *white* vertex is by construction not adjacent to any heap member
@@ -225,12 +254,30 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
 
     def emitPopped(v: Int, w: Double): Unit = {
       emitWhite(v, w)
+      // Only a vertex that entered ahead of its slot can pop before it; the
+      // counter spares insertion a position lookup per pop.
+      val early = ahead > 0 && _order.posOf(v) >= k
+      if (early) { ahead -= 1; _order.vacate(v) }
       graph.foreachIncident(v) { (x, c) =>
         edgesTouched += 1
         if (heap.contains(x)) heap.addTo(x, -c)
         if (grayEpoch(x) == epoch) grayCnt(x) -= 1
       }
+      if (early) enterOvertaken(v)
     }
+
+    // The neighbours of an early-emitted `v` at or after the frontier still
+    // count it in their stored Δ, so they enter the heap. They enter after
+    // the decrements above: recovery already leaves `v` out, so a parallel
+    // edge to `v` must not be subtracted twice.
+    def enterOvertaken(v: Int): Unit =
+      graph.foreachIncident(v) { (x, _) =>
+        edgesTouched += 1
+        if (!heap.contains(x) && _order.posOf(x) >= k) {
+          blackMark(x) = epoch
+          enterAhead(x)
+        }
+      }
 
     def enterHeap(v: Int): Unit = {
       var w = graph.vertexWeight(v)
@@ -243,6 +290,21 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
       heap.insert(v, w)
     }
 
+    def enterAhead(v: Int): Unit = {
+      enterHeap(v)
+      ahead += 1
+    }
+
+    @inline def headBefore(v: Int, kw: Double): Boolean = {
+      val mk = heap.minKey
+      mk < kw || (mk == kw && heap.minId < v)
+    }
+
+    def popHead(): Unit = {
+      val w = heap.minKey
+      emitPopped(heap.popMin(), w)
+    }
+
     def flush(upTo: Int): Unit = {
       assert(bufLen == upTo - windowStart,
         s"window accounting broken: buffered $bufLen vs span ${upTo - windowStart}")
@@ -253,9 +315,12 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
       windowStart = upTo
     }
 
+    hoisted.foreach(enterAhead)
     var done = false
     while (!done) {
-      if (heap.isEmpty) {
+      // Jump or stop only when balanced: an empty heap and no hole ahead
+      // (every early-emitted vertex's slot already passed).
+      if (heap.isEmpty && bufLen == k - windowStart) {
         while (bpIdx < blackPos.length && blackPos(bpIdx) < k) bpIdx += 1
         if (bpIdx >= blackPos.length) {
           flush(k)
@@ -268,19 +333,20 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
           bpIdx += 1
         }
       } else if (k >= end) {
-        val w = heap.minKey
-        val v = heap.popMin()
-        emitPopped(v, w)
+        popHead()
       } else {
         val v = _order.vertexAt(k)
         val kw = _order.weightAt(k)
-        val mk = heap.minKey
-        val mid = heap.minId
-        if (mk < kw || (mk == kw && mid < v)) {
+        val black = blackMark(v) == epoch
+        if (black && (heap.contains(v) || _order.posOf(v) != k)) {
+          // Hole: `v` entered the heap before its slot. Its stored Δ_k is
+          // stale and must not decide a pop.
+          if (heap.contains(v)) ahead -= 1
+          k += 1
+        } else if (heap.nonEmpty && headBefore(v, kw)) {
           // Case 1: the pending head is the global minimum (Lemma 4.2)
-          heap.popMin()
-          emitPopped(mid, mk)
-        } else if (isAffected(v)) {
+          popHead()
+        } else if (black || isGray(v)) {
           // Case 2(a): stored Δ_k may be stale — recover and enqueue
           enterHeap(v)
           k += 1
@@ -291,7 +357,7 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
         }
       }
     }
-    ReorderStats(firstBlack, k, emittedTotal, recovered, edgesTouched, newVerts)
+    ReorderStats(cut, k, emittedTotal, recovered, edgesTouched, newVerts)
   }
 
   private def growMarks(n: Int): Unit = {
@@ -330,6 +396,7 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     */
   def insertGrouped(t: Tx): Option[ReorderStats] = {
     require(loaded, "call loadGraph before grouped insertion")
+    validate(t)
     val urgent = !isBenign(t)
     pendingTxs += t
     if (urgent || pendingTxs.length >= flushCap) {
@@ -363,9 +430,9 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     * of the passed vertex exceeds `B`, the smaller post-deletion weight of
     * the two endpoints at the earlier endpoint's step (weights are monotone
     * in the active set, so `w(S_0) <= B` proves the whole remaining prefix
-    * is unaffected). The suffix after the cut is then re-peeled against the
-    * frozen prefix — O(E_suffix log V_suffix), simpler than the forward
-    * merge and exactly correct; deletion appears in no paper table.
+    * is unaffected). The forward phase is the insertion merge: both
+    * endpoints are marked black and hoisted into the heap at the cut, and
+    * `reorderWindow` moves them (and whatever they overtake) earlier.
     *
     * Returns None when the edge does not exist.
     */
@@ -380,37 +447,16 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
 
     // Inclusive at ties (`>=`): with exact equal weights the id tie-break
     // may move an endpoint before a tied prefix vertex, so tied positions
-    // must be re-peeled too.
+    // must be re-merged too.
     var cut = pi
     while (cut > _order.start && graph.incidentWeight(_order.vertexAt(cut - 1)) >= b) cut -= 1
 
-    // Re-peel the suffix [cut, end) against the frozen prefix.
-    val end = _order.end
-    heap.clear()
-    var edgesTouched = 0L
-    var p = cut
-    while (p < end) {
-      val v = _order.vertexAt(p)
-      var pw = graph.vertexWeight(v)
-      graph.foreachIncident(v) { (x, c) =>
-        edgesTouched += 1
-        if (_order.posOf(x) >= cut) pw += c
-      }
-      heap.insert(v, pw)
-      p += 1
-    }
-    var q = cut
-    while (heap.nonEmpty) {
-      val pw = heap.minKey
-      val v = heap.popMin()
-      _order.set(q, v, pw)
-      graph.foreachIncident(v) { (x, c) =>
-        edgesTouched += 1
-        if (heap.contains(x)) heap.addTo(x, -c)
-      }
-      q += 1
-    }
+    epoch += 1
+    growMarks(graph.numVertices)
+    blackMark(src) = epoch
+    blackMark(dst) = epoch
+    val stats = reorderWindow(cut, Array(src, dst), Array.emptyIntArray, 0)
     detect()
-    Some(ReorderStats(cut, end, end - cut, end - cut, edgesTouched, 0))
+    Some(stats)
   }
 }

@@ -139,4 +139,22 @@ class BatchInsertSpec extends AnyFunSuite {
       assertValidGreedy(spade, s"round $i")
     }
   }
+
+  test("a malformed edge rejects the whole batch before any change") {
+    val spade = loadedSpade(Suspiciousness.DW, paperEdges)
+    val order = spade.order.toVertexSeq
+    val weights = spade.order.toWeightSeq
+    Seq(
+      Seq(Tx(0, 6, 1.0), Tx(2, 2, 1.0)),                    // self-loop after a new vertex
+      Seq(Tx(0, 3, 1.0), Tx(1, 4, -1.0)),                   // DW amount <= 0
+      Seq(Tx(0, 3, 1.0), Tx(-1, 4, 1.0)),                   // negative id
+      Seq(Tx(0, 7, 1.0), Tx(1, 3, Double.PositiveInfinity)), // infinite weight
+    ).foreach { batch =>
+      intercept[IllegalArgumentException](spade.insertBatchEdges(batch))
+      assert(spade.graph.numVertices == 5 && spade.graph.numEdges == 4, s"$batch")
+      assert(spade.order.toVertexSeq == order && spade.order.toWeightSeq == weights, s"$batch")
+    }
+    spade.insertBatchEdges(Seq(paperInsertion))
+    assertMatchesStatic(spade, "after rejected batches")
+  }
 }

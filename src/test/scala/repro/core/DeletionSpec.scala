@@ -95,4 +95,52 @@ class DeletionSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("stress: skewed graphs under random insert, batch and delete mixes, then drained") {
+    Seq[Suspiciousness](Suspiciousness.DG, Suspiciousness.DW, Suspiciousness.FD).foreach { m =>
+      (1L to 6L).foreach { seed =>
+        val rng = new scala.util.Random(seed * 31 + m.name.length)
+        val nc = 20 + rng.nextInt(120)
+        val nm = 10 + rng.nextInt(50)
+        val live = scala.collection.mutable.ArrayBuffer(skewedTxs(nc, nm, 2 * (nc + nm), seed): _*)
+        val spade = loadedSpade(m, live.toSeq)
+        def fresh(): Tx = skewedTxs(nc, nm, 1, rng.nextLong()).head
+        // FD's greedy check is O(V² · deg): drain steps check it every 4th.
+        def check(clue: String, i: Int = 0): Unit =
+          if (m.name != "FD") assertMatchesStatic(spade, clue)
+          else if (i % 4 == 0) assertValidGreedy(spade, clue)
+        (0 until 60).foreach { step =>
+          rng.nextInt(4) match {
+            case 0 => val t = fresh(); spade.insertEdge(t); live += t
+            case 1 => val ts = Seq.fill(1 + rng.nextInt(8))(fresh()); spade.insertBatchEdges(ts); live ++= ts
+            case _ =>
+              val t = live.remove(rng.nextInt(live.length))
+              assert(spade.deleteEdge(t.src, t.dst).isDefined)
+          }
+          check(s"${m.name} seed $seed step $step")
+        }
+        rng.shuffle(live).zipWithIndex.foreach { case (t, i) =>
+          assert(spade.deleteEdge(t.src, t.dst).isDefined)
+          check(s"${m.name} seed $seed drain $i", i)
+        }
+        check(s"${m.name} seed $seed drained")
+        assert(spade.graph.numEdges == 0)
+        assert(spade.order.toWeightSeq.forall(_ == 0.0), s"${m.name} seed $seed: drained weights")
+      }
+    }
+  }
+
+  test("deleting a peripheral edge recovers a few vertices, not the suffix") {
+    val txs = randomTxs(5000, 15000, 5)
+    val spade = loadedSpade(Suspiciousness.DW, txs)
+    val g = spade.graph
+    val peripheral = txs.map(t => (t.src, t.dst)).distinct.sortBy { case (a, b) => g.degree(a) + g.degree(b) }.take(10)
+    peripheral.foreach { case (a, b) =>
+      val st = spade.deleteEdge(a, b).get
+      assert(st.recovered * 20 < st.emitted, s"($a, $b): recovered ${st.recovered} of ${st.emitted}")
+      assert(st.edgesTouched < spade.graph.numEdges / 10,
+        s"($a, $b): touched ${st.edgesTouched} edges of ${spade.graph.numEdges}")
+    }
+    assertMatchesStatic(spade, "peripheral deletions")
+  }
 }

@@ -155,4 +155,16 @@ class EdgeGroupingSpec extends AnyFunSuite {
     assert(flushes >= 1, "burst never triggered a flush")
     assert(spade.detect().memberSet.contains(25))
   }
+
+  test("a malformed edge is rejected before it is buffered") {
+    val spade = fringeAndCore()
+    spade.insertGrouped(Tx(0, 2, 0.1))
+    intercept[IllegalArgumentException](spade.insertGrouped(Tx(3, 3, 0.1)))
+    intercept[IllegalArgumentException](spade.insertGrouped(Tx(3, 4, 0.0)))
+    assert(spade.pendingCount == 1)
+    spade.insertGrouped(Tx(4, 6, 0.1))
+    spade.flushPending()
+    assert(spade.pendingCount == 0 && spade.graph.numEdges == 13)
+    assertMatchesStatic(spade, "grouped after rejects")
+  }
 }

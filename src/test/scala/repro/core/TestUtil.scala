@@ -169,6 +169,19 @@ object TestUtil {
     }
   }
 
+  /** A skewed customer→merchant stream: customers `[0, nCustomers)` pay
+    * merchants `[nCustomers, nCustomers + nMerchants)`, both drawn with
+    * power-law skew toward low ids, so a few hubs meet a long low-degree
+    * tail. Amounts are dyadic like [[randomTxs]].
+    */
+  def skewedTxs(nCustomers: Int, nMerchants: Int, nEdges: Int, seed: Long): Seq[Tx] = {
+    val rng = new scala.util.Random(seed)
+    def skewed(n: Int): Int = (n * math.pow(rng.nextDouble(), 2.5)).toInt
+    (0 until nEdges).map { i =>
+      Tx(skewed(nCustomers), nCustomers + skewed(nMerchants), (1 + rng.nextInt(40)) * 0.25, ts = i.toDouble)
+    }
+  }
+
   /** Deterministic random transaction stream over a dense id space.
     * Amounts are dyadic rationals (multiples of 0.25) so DW sums are exact
     * in binary floating point — every tie is a true tie.
