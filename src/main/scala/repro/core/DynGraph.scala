@@ -90,8 +90,22 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
   /** Total (in + out) degree, counting parallel edges. */
   def degree(u: Int): Int = outDegree(u) + inDegree(u)
 
-  @inline private def checkVertex(u: Int): Unit =
-    require(u >= 0 && u < nV, s"vertex $u out of range [0, $nV)")
+  // Throws what `require` would, but builds the message only on failure
+  // (see `IndexedMinHeap.requirePresent`): the merge calls it per vertex.
+  @inline private[core] def checkVertex(u: Int): Unit =
+    if (u < 0 || u >= nV)
+      throw new IllegalArgumentException(s"requirement failed: vertex $u out of range [0, $nV)")
+
+  // Raw adjacency for the package's allocation-free walks (the reorder
+  // kernel and the static peel). No range check: a walk calls `checkVertex`
+  // once, then reads `outNbrs(u)(i)` / `outWts(u)(i)` for `i < outCount(u)`,
+  // and the same for in-edges. The arrays are null while the count is 0.
+  private[core] def outNbrs(u: Int): Array[Int]    = outNbr(u)
+  private[core] def outWts(u: Int): Array[Double]  = outW(u)
+  private[core] def outCount(u: Int): Int          = outCnt(u)
+  private[core] def inNbrs(u: Int): Array[Int]     = inNbr(u)
+  private[core] def inWts(u: Int): Array[Double]   = inW(u)
+  private[core] def inCount(u: Int): Int           = inCnt(u)
 
   private def append(nbrs: Array[Array[Int]], ws: Array[Array[Double]],
                      cnts: Array[Int], u: Int, v: Int, w: Double): Unit = {

@@ -1,6 +1,6 @@
 package repro.core
 
-/** Array-backed binary min-heap over dense non-negative integer ids with
+/** Array-backed 4-ary min-heap over dense non-negative integer ids with
   * O(log n) insert / pop / change-key and O(1) contains / key lookup.
   *
   * Ordering is lexicographic on `(key, id)` so every consumer of the heap is
@@ -9,13 +9,20 @@ package repro.core
   * which makes "incremental sequence == static sequence" an exact, testable
   * equality rather than a density-only statement.
   *
+  * Layout: `ids` and `keys` are indexed by heap slot, so a sift compare reads
+  * two adjacent slots instead of chasing `keys(id)`; `pos` maps an id to its
+  * slot. There is a single key array, `keyOf(id) = keys(pos(id))`. A sift
+  * carries the moving entry in registers and shifts the others into the hole,
+  * writing it once at its final slot. Four children per node halve the depth
+  * of a binary heap; the four are adjacent in memory.
+  *
   * The heap is reusable across reorder calls: `clear()` resets only the
   * entries that are currently present (O(size)), not the whole id space.
   */
 final class IndexedMinHeap(initialCapacity: Int = 16) {
-  private var keys = new Array[Double](math.max(1, initialCapacity))
-  private var pos  = Array.fill(math.max(1, initialCapacity))(-1)
-  private var heap = new Array[Int](math.max(1, initialCapacity))
+  private var ids  = new Array[Int](math.max(1, initialCapacity))    // slot -> id
+  private var keys = new Array[Double](math.max(1, initialCapacity)) // slot -> key
+  private var pos  = absent(math.max(1, initialCapacity)) // id -> slot, -1 when absent
   private var n    = 0
 
   /** Number of entries currently in the heap. */
@@ -23,21 +30,23 @@ final class IndexedMinHeap(initialCapacity: Int = 16) {
   def isEmpty: Boolean  = n == 0
   def nonEmpty: Boolean = n > 0
 
-  /** Grow internal arrays so `id` is addressable. */
+  private def absent(n: Int): Array[Int] = {
+    val a = new Array[Int](n)
+    java.util.Arrays.fill(a, -1)
+    a
+  }
+
+  /** Grow internal arrays so `id` is addressable and one more entry fits. */
   private def ensureId(id: Int): Unit = {
     if (id >= pos.length) {
-      val newCap  = math.max(pos.length * 2, id + 1)
-      val newKeys = new Array[Double](newCap)
-      val newPos  = Array.fill(newCap)(-1)
-      System.arraycopy(keys, 0, newKeys, 0, keys.length)
+      val newPos = absent(math.max(pos.length * 2, id + 1))
       System.arraycopy(pos, 0, newPos, 0, pos.length)
-      keys = newKeys
       pos = newPos
     }
-    if (n >= heap.length) {
-      val newHeap = new Array[Int](math.max(heap.length * 2, n + 1))
-      System.arraycopy(heap, 0, newHeap, 0, heap.length)
-      heap = newHeap
+    if (n >= ids.length) {
+      val cap = math.max(ids.length * 2, n + 1)
+      ids = java.util.Arrays.copyOf(ids, cap)
+      keys = java.util.Arrays.copyOf(keys, cap)
     }
   }
 
@@ -46,86 +55,108 @@ final class IndexedMinHeap(initialCapacity: Int = 16) {
 
   /** Current key of `id`; requires `contains(id)`. */
   def keyOf(id: Int): Double = {
-    require(contains(id), s"id $id not in heap")
-    keys(id)
+    requirePresent(id)
+    keys(pos(id))
   }
 
-  @inline private def less(i: Int, j: Int): Boolean = {
-    val a = heap(i); val b = heap(j)
-    val ka = keys(a); val kb = keys(b)
+  // These checks throw what `require` throws, but build the message only on
+  // failure. `require`'s by-name message is a closure capturing `id`; once
+  // any `require` in the JVM has failed, the JIT allocates it on every call.
+  @inline private def requirePresent(id: Int): Unit =
+    if (!contains(id)) throw new IllegalArgumentException(s"requirement failed: id $id not in heap")
+
+  @inline private def requireAbsent(id: Int): Unit =
+    if (pos(id) >= 0) throw new IllegalArgumentException(s"requirement failed: id $id already in heap")
+
+  @inline private def before(ka: Double, a: Int, kb: Double, b: Int): Boolean =
     ka < kb || (ka == kb && a < b)
-  }
 
-  @inline private def swap(i: Int, j: Int): Unit = {
-    val a = heap(i); val b = heap(j)
-    heap(i) = b; heap(j) = a
-    pos(b) = i; pos(a) = j
-  }
-
-  private def siftUp(i0: Int): Unit = {
+  /** Place `(key, id)` at or above slot `i0`, whose entry is a hole. */
+  private def siftUp(i0: Int, id: Int, key: Double): Unit = {
     var i = i0
-    while (i > 0 && less(i, (i - 1) / 2)) { swap(i, (i - 1) / 2); i = (i - 1) / 2 }
-  }
-
-  private def siftDown(i0: Int): Unit = {
-    var i = i0
-    var done = false
-    while (!done) {
-      val l = 2 * i + 1; val r = 2 * i + 2
-      var m = i
-      if (l < n && less(l, m)) m = l
-      if (r < n && less(r, m)) m = r
-      if (m == i) done = true else { swap(i, m); i = m }
+    var moving = true
+    while (moving && i > 0) {
+      val p = (i - 1) >> 2
+      val pid = ids(p); val pk = keys(p)
+      if (before(key, id, pk, pid)) {
+        ids(i) = pid; keys(i) = pk; pos(pid) = i
+        i = p
+      } else moving = false
     }
+    ids(i) = id; keys(i) = key; pos(id) = i
+  }
+
+  /** Place `(key, id)` at or below slot `i0`, whose entry is a hole. */
+  private def siftDown(i0: Int, id: Int, key: Double): Unit = {
+    var i = i0
+    var moving = true
+    while (moving) {
+      val first = 4 * i + 1
+      if (first >= n) moving = false
+      else {
+        var m = first
+        var mid = ids(first); var mk = keys(first)
+        val last = math.min(first + 4, n)
+        var c = first + 1
+        while (c < last) {
+          val cid = ids(c); val ck = keys(c)
+          if (before(ck, cid, mk, mid)) { m = c; mid = cid; mk = ck }
+          c += 1
+        }
+        if (before(mk, mid, key, id)) {
+          ids(i) = mid; keys(i) = mk; pos(mid) = i
+          i = m
+        } else moving = false
+      }
+    }
+    ids(i) = id; keys(i) = key; pos(id) = i
   }
 
   /** Insert a new id; requires it is not already present. */
   def insert(id: Int, key: Double): Unit = {
     require(id >= 0, "ids must be non-negative")
     ensureId(id)
-    require(pos(id) < 0, s"id $id already in heap")
-    keys(id) = key
-    heap(n) = id
-    pos(id) = n
+    requireAbsent(id)
     n += 1
-    siftUp(n - 1)
+    siftUp(n - 1, id, key)
   }
 
   /** Set the key of an existing id (may move it either direction). */
   def changeKey(id: Int, key: Double): Unit = {
-    require(contains(id), s"id $id not in heap")
-    val old = keys(id)
-    keys(id) = key
-    if (key < old) siftUp(pos(id)) else siftDown(pos(id))
+    requirePresent(id)
+    val i = pos(id)
+    if (key < keys(i)) siftUp(i, id, key) else siftDown(i, id, key)
   }
 
   /** Add `delta` to the key of an existing id. */
-  def addTo(id: Int, delta: Double): Unit = changeKey(id, keys(id) + delta)
+  def addTo(id: Int, delta: Double): Unit = {
+    requirePresent(id)
+    val i = pos(id)
+    val old = keys(i)
+    val key = old + delta
+    if (key < old) siftUp(i, id, key) else siftDown(i, id, key)
+  }
 
   /** Id with the smallest (key, id); requires nonEmpty. */
-  def minId: Int = { require(n > 0, "heap is empty"); heap(0) }
+  def minId: Int = { require(n > 0, "heap is empty"); ids(0) }
 
   /** Smallest key; requires nonEmpty. */
-  def minKey: Double = { require(n > 0, "heap is empty"); keys(heap(0)) }
+  def minKey: Double = { require(n > 0, "heap is empty"); keys(0) }
 
   /** Remove and return the id with the smallest (key, id). */
   def popMin(): Int = {
     require(n > 0, "heap is empty")
-    val top = heap(0)
-    n -= 1
-    if (n > 0) {
-      heap(0) = heap(n)
-      pos(heap(0)) = 0
-      siftDown(0)
-    }
+    val top = ids(0)
     pos(top) = -1
+    n -= 1
+    if (n > 0) siftDown(0, ids(n), keys(n))
     top
   }
 
   /** Remove all entries; O(current size). */
   def clear(): Unit = {
     var i = 0
-    while (i < n) { pos(heap(i)) = -1; i += 1 }
+    while (i < n) { pos(ids(i)) = -1; i += 1 }
     n = 0
   }
 }

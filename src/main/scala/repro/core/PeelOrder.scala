@@ -70,7 +70,9 @@ final class PeelOrder private (
   def lastWalkLength: Int = walked
 
   @inline private def checkIdx(p: Int): Unit =
-    require(p >= startIdx && p < endIdx, s"index $p outside [$startIdx, $endIdx)")
+    // `require` without its per-call message closure: see `IndexedMinHeap.requirePresent`.
+    if (p < startIdx || p >= endIdx)
+      throw new IllegalArgumentException(s"requirement failed: index $p outside [$startIdx, $endIdx)")
 
   @inline private def markDirty(p: Int): Unit = {
     if (p < dirtyLo) dirtyLo = p

@@ -52,7 +52,7 @@ object ReorderStats {
   *    `O(|E_T|)` bound, but immune to bookkeeping drift;
   *  - every heap breaks ties on `(weight, id)`, so the maintained sequence is
   *    *bit-identical* to a static re-peel of the updated weighted graph;
-  *  - one merge kernel (`reorderWindow`) serves single, batch and deletion
+  *  - one merge kernel (`ReorderKernel`) serves single, batch and deletion
   *    updates;
   *  - the reorder rewrites only the affected window of the sequence arrays;
   *    the tail is left untouched (this is where the microseconds come from);
@@ -67,18 +67,8 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
   private var _order: PeelOrder = PeelOrder.empty
   private var loaded = false
 
-  // ---- reusable reorder scratch (allocation-free steady state) ----
-  private val heap = new IndexedMinHeap()
-  // Gray is reference-counted per *current* heap member (the paper's Case 2
-  // requires adjacency to a member of T, not to anything that ever passed
-  // through it): entrants bump their neighbors, pops decrement them. A
-  // sticky mark would cascade recoveries through the whole scan window.
-  private var grayEpoch = new Array[Int](16)
-  private var grayCnt   = new Array[Int](16)
-  private var blackMark = new Array[Int](16)
-  private var epoch = 0
-  private var bufV = new Array[Int](16)
-  private var bufW = new Array[Double](16)
+  // The merge kernel and its reusable scratch (allocation-free steady state).
+  private val kernel = new ReorderKernel(graph)
 
   // ---- edge-grouping state (§4.3) ----
   private val pendingTxs = mutable.ArrayBuffer.empty[Tx]
@@ -103,27 +93,49 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     * run the static peeling once. Returns the initial community.
     */
   def loadGraph(txs: IterableOnce[Tx]): Community = {
-    txs.iterator.foreach { t => applyTx(t); () }
+    txs.iterator.foreach { t =>
+      addVertices(priorsUpTo(math.max(t.src, t.dst)))
+      addTx(t)
+    }
     _order = StaticPeeling.peel(graph)
     loaded = true
     detect()
   }
 
-  /** Materialize one transaction into the graph: every newly created vertex
-    * id (endpoints and any dense-id-space gap they force into existence)
-    * gets its `vsusp` prior, the edge gets its `esusp` weight frozen now.
+  /** The `vsusp` prior of every vertex id up to `maxId` that the graph does
+    * not have yet (endpoints and any dense-id-space gap they force into
+    * existence), index 0 being `numVertices`. Each is checked to be finite
+    * and non-negative. Mutates nothing.
     */
-  private def applyTx(t: Tx): Unit = {
-    val oldN = graph.numVertices
-    graph.ensureVertex(math.max(t.src, t.dst))
-    var id = oldN
-    while (id < graph.numVertices) {
-      graph.setVertexWeight(id, metric.vsusp(id, graph))
-      id += 1
+  private def priorsUpTo(maxId: Int): Array[Double] = {
+    val base = graph.numVertices
+    if (maxId < base) return Array.emptyDoubleArray
+    val priors = new Array[Double](maxId - base + 1)
+    var i = 0
+    while (i < priors.length) {
+      val id = base + i
+      val p = metric.vsusp(id, graph)
+      require(p >= 0 && !p.isInfinite,
+        s"${metric.name} vertex prior must be finite and non-negative, got $p for vertex $id")
+      priors(i) = p
+      i += 1
     }
-    val c = metric.esusp(t, graph)
-    graph.addEdge(t.src, t.dst, c)
+    priors
   }
+
+  /** Create the vertices `priorsUpTo` returned, with their priors. */
+  private def addVertices(priors: Array[Double]): Unit = {
+    if (priors.isEmpty) return
+    val base = graph.numVertices
+    graph.ensureVertex(base + priors.length - 1)
+    var i = 0
+    while (i < priors.length) { graph.setVertexWeight(base + i, priors(i)); i += 1 }
+  }
+
+  /** Add one transaction's edge with its `esusp` weight frozen now. Both
+    * endpoints must exist.
+    */
+  private def addTx(t: Tx): Unit = graph.addEdge(t.src, t.dst, metric.esusp(t, graph))
 
   // ------------------------------------------------------------------
   // Detection
@@ -152,40 +164,40 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
   def insertEdge(t: Tx): ReorderStats = insertBatchEdges(Seq(t))
 
   /** Insert a batch of edges and reorder once (Algorithm 2). The whole batch
-    * is validated first, so a malformed edge rejects it before any change.
+    * is validated first, edges and the priors of the vertices it creates, so
+    * a malformed edge or prior rejects it before any change.
     */
   def insertBatchEdges(txs: Seq[Tx]): ReorderStats = {
     txs.foreach(validate)
+    var maxId = -1
+    val it = txs.iterator
+    while (it.hasNext) { val t = it.next(); maxId = math.max(maxId, math.max(t.src, t.dst)) }
+    val priors = priorsUpTo(maxId)
+    val oldN = graph.numVertices
+    addVertices(priors)
     if (!loaded) { loadGraph(txs); return ReorderStats.zero }
     if (txs.isEmpty) return ReorderStats.zero
 
-    // Materialize the updates; collect the black set: ΔV = edge endpoints
-    // plus every newly materialized vertex id (including ids the dense id
-    // space forces into existence between old max and a new endpoint —
-    // they are isolated, weight-vsusp vertices that the merge will place
-    // at their correct (weight, id) slot). New vertices are prepended to
-    // the sequence head (§4.1 vertex insertion) and marked black so the
-    // merge interleaves them exactly as a static re-peel would.
-    epoch += 1
-    val blacks = new mutable.ArrayBuffer[Int](2 * txs.length)
-    var newVerts = 0
-    txs.foreach { t =>
-      val oldN = graph.numVertices
-      applyTx(t)
-      growMarks(graph.numVertices)
-      var id = oldN
-      while (id < graph.numVertices) {
-        _order.prepend(id, graph.vertexWeight(id))
-        if (blackMark(id) != epoch) { blackMark(id) = epoch; blacks += id }
-        newVerts += 1
-        id += 1
-      }
-      if (blackMark(t.src) != epoch) { blackMark(t.src) = epoch; blacks += t.src }
-      if (blackMark(t.dst) != epoch) { blackMark(t.dst) = epoch; blacks += t.dst }
+    // Materialize the updates; the black set is ΔV = edge endpoints plus
+    // every new vertex id (including ids the dense id space forces into
+    // existence between old max and a new endpoint — they are isolated,
+    // weight-vsusp vertices that the merge will place at their correct
+    // (weight, id) slot). New vertices are prepended to the sequence head
+    // (§4.1 vertex insertion) and marked black so the merge interleaves
+    // them exactly as a static re-peel would.
+    kernel.newEpoch(graph.numVertices)
+    var id = oldN
+    while (id < graph.numVertices) {
+      _order.prepend(id, graph.vertexWeight(id))
+      kernel.markBlack(id)
+      id += 1
     }
-    val blackPos = blacks.map(_order.posOf).toArray
-    java.util.Arrays.sort(blackPos)
-    reorderWindow(blackPos(0), Array.emptyIntArray, blackPos, newVerts)
+    txs.foreach { t =>
+      addTx(t)
+      kernel.markBlack(t.src)
+      kernel.markBlack(t.dst)
+    }
+    kernel.mergeBlacks(_order, priors.length)
   }
 
   /** Reject a transaction that the graph or the metric cannot take: a
@@ -197,176 +209,6 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     require(t.src != t.dst, s"self-loop rejected: $t")
     val c = metric.esusp(t, graph)
     require(c > 0 && !c.isInfinite, s"${metric.name} edge weight must be finite and positive, got $c for $t")
-  }
-
-  /** The merge kernel behind every update (§4.1, Algorithm 2, Appendix C.1).
-    * The scan starts at `cut`. `hoisted` vertices enter the heap there
-    * (deletion's endpoints, whose weight fell); every other black vertex
-    * enters when the scan reaches its slot in `blackPos` (sorted). All of
-    * them must already be marked black with the current epoch.
-    *
-    * Insertion only raises weights, so a vertex never pops before the scan
-    * reaches its slot. A hoisted vertex can: it is *emitted early*, leaves
-    * the active set at once (`PeelOrder.vacate`), and its old slot becomes a
-    * hole that the scan skips. Its neighbours at or after the frontier still
-    * count it in their stored `Δ`, so they enter the heap too.
-    */
-  private def reorderWindow(cut: Int, hoisted: Array[Int], blackPos: Array[Int],
-                            newVerts: Int): ReorderStats = {
-    val end = _order.end
-
-    heap.clear()
-    var k = cut
-    var windowStart = cut
-    var bufLen = 0
-    var recovered = 0
-    var emittedTotal = 0
-    var edgesTouched = 0L
-    var bpIdx = 0
-    var ahead = 0 // heap members whose slot the scan has not reached yet
-
-    @inline def isGray(v: Int): Boolean = grayEpoch(v) == epoch && grayCnt(v) > 0
-
-    @inline def bumpGray(x: Int): Unit = {
-      if (grayEpoch(x) != epoch) { grayEpoch(x) = epoch; grayCnt(x) = 0 }
-      grayCnt(x) += 1
-    }
-
-    // A vertex is still *active* (unpeeled in the order being built) iff it
-    // is pending in the heap, or it sits at/after the scan frontier. Emitted
-    // and jump-skipped vertices have (possibly stale) positions strictly
-    // before the frontier, and an early-emitted one has none, so one
-    // position test covers them all.
-    @inline def active(x: Int): Boolean = heap.contains(x) || _order.posOf(x) >= k
-
-    // A *white* vertex is by construction not adjacent to any heap member
-    // (it would have been grayed when that member entered), so emitting it
-    // needs no adjacency walk — this is what makes the affected area
-    // O(|E_T|) instead of O(window × avg degree). Only heap pops walk their
-    // adjacency to decrement remaining members (the paper's Case 1).
-    def emitWhite(v: Int, w: Double): Unit = {
-      if (bufLen == bufV.length) {
-        bufV = java.util.Arrays.copyOf(bufV, bufLen * 2)
-        bufW = java.util.Arrays.copyOf(bufW, bufLen * 2)
-      }
-      bufV(bufLen) = v; bufW(bufLen) = w; bufLen += 1
-    }
-
-    def emitPopped(v: Int, w: Double): Unit = {
-      emitWhite(v, w)
-      // Only a vertex that entered ahead of its slot can pop before it; the
-      // counter spares insertion a position lookup per pop.
-      val early = ahead > 0 && _order.posOf(v) >= k
-      if (early) { ahead -= 1; _order.vacate(v) }
-      graph.foreachIncident(v) { (x, c) =>
-        edgesTouched += 1
-        if (heap.contains(x)) heap.addTo(x, -c)
-        if (grayEpoch(x) == epoch) grayCnt(x) -= 1
-      }
-      if (early) enterOvertaken(v)
-    }
-
-    // The neighbours of an early-emitted `v` at or after the frontier still
-    // count it in their stored Δ, so they enter the heap. They enter after
-    // the decrements above: recovery already leaves `v` out, so a parallel
-    // edge to `v` must not be subtracted twice.
-    def enterOvertaken(v: Int): Unit =
-      graph.foreachIncident(v) { (x, _) =>
-        edgesTouched += 1
-        if (!heap.contains(x) && _order.posOf(x) >= k) {
-          blackMark(x) = epoch
-          enterAhead(x)
-        }
-      }
-
-    def enterHeap(v: Int): Unit = {
-      var w = graph.vertexWeight(v)
-      graph.foreachIncident(v) { (x, c) =>
-        edgesTouched += 1
-        if (active(x)) w += c
-        bumpGray(x)
-      }
-      recovered += 1
-      heap.insert(v, w)
-    }
-
-    def enterAhead(v: Int): Unit = {
-      enterHeap(v)
-      ahead += 1
-    }
-
-    @inline def headBefore(v: Int, kw: Double): Boolean = {
-      val mk = heap.minKey
-      mk < kw || (mk == kw && heap.minId < v)
-    }
-
-    def popHead(): Unit = {
-      val w = heap.minKey
-      emitPopped(heap.popMin(), w)
-    }
-
-    def flush(upTo: Int): Unit = {
-      assert(bufLen == upTo - windowStart,
-        s"window accounting broken: buffered $bufLen vs span ${upTo - windowStart}")
-      var i = 0
-      while (i < bufLen) { _order.set(windowStart + i, bufV(i), bufW(i)); i += 1 }
-      emittedTotal += bufLen
-      bufLen = 0
-      windowStart = upTo
-    }
-
-    hoisted.foreach(enterAhead)
-    var done = false
-    while (!done) {
-      // Jump or stop only when balanced: an empty heap and no hole ahead
-      // (every early-emitted vertex's slot already passed).
-      if (heap.isEmpty && bufLen == k - windowStart) {
-        while (bpIdx < blackPos.length && blackPos(bpIdx) < k) bpIdx += 1
-        if (bpIdx >= blackPos.length) {
-          flush(k)
-          done = true // tail [k, end) untouched — Lemma 4.1 in reverse
-        } else {
-          val nb = blackPos(bpIdx)
-          if (nb > k) { flush(k); windowStart = nb; k = nb }
-          enterHeap(_order.vertexAt(k))
-          k += 1
-          bpIdx += 1
-        }
-      } else if (k >= end) {
-        popHead()
-      } else {
-        val v = _order.vertexAt(k)
-        val kw = _order.weightAt(k)
-        val black = blackMark(v) == epoch
-        if (black && (heap.contains(v) || _order.posOf(v) != k)) {
-          // Hole: `v` entered the heap before its slot. Its stored Δ_k is
-          // stale and must not decide a pop.
-          if (heap.contains(v)) ahead -= 1
-          k += 1
-        } else if (heap.nonEmpty && headBefore(v, kw)) {
-          // Case 1: the pending head is the global minimum (Lemma 4.2)
-          popHead()
-        } else if (black || isGray(v)) {
-          // Case 2(a): stored Δ_k may be stale — recover and enqueue
-          enterHeap(v)
-          k += 1
-        } else {
-          // Case 2(b)/3: white vertex, stored Δ_k is exact and minimal
-          emitWhite(v, kw)
-          k += 1
-        }
-      }
-    }
-    ReorderStats(cut, k, emittedTotal, recovered, edgesTouched, newVerts)
-  }
-
-  private def growMarks(n: Int): Unit = {
-    if (n > grayEpoch.length) {
-      val cap = math.max(grayEpoch.length * 2, n)
-      grayEpoch = java.util.Arrays.copyOf(grayEpoch, cap)
-      grayCnt   = java.util.Arrays.copyOf(grayCnt, cap)
-      blackMark = java.util.Arrays.copyOf(blackMark, cap)
-    }
   }
 
   // ------------------------------------------------------------------
@@ -397,6 +239,7 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
   def insertGrouped(t: Tx): Option[ReorderStats] = {
     require(loaded, "call loadGraph before grouped insertion")
     validate(t)
+    priorsUpTo(math.max(t.src, t.dst)) // checks the priors of the ids `t` creates
     val urgent = !isBenign(t)
     pendingTxs += t
     if (urgent || pendingTxs.length >= flushCap) {
@@ -432,7 +275,7 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     * in the active set, so `w(S_0) <= B` proves the whole remaining prefix
     * is unaffected). The forward phase is the insertion merge: both
     * endpoints are marked black and hoisted into the heap at the cut, and
-    * `reorderWindow` moves them (and whatever they overtake) earlier.
+    * `ReorderKernel.mergeHoisted` moves them (and whatever they overtake) earlier.
     *
     * Returns None when the edge does not exist.
     */
@@ -451,11 +294,8 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     var cut = pi
     while (cut > _order.start && graph.incidentWeight(_order.vertexAt(cut - 1)) >= b) cut -= 1
 
-    epoch += 1
-    growMarks(graph.numVertices)
-    blackMark(src) = epoch
-    blackMark(dst) = epoch
-    val stats = reorderWindow(cut, Array(src, dst), Array.emptyIntArray, 0)
+    kernel.newEpoch(graph.numVertices)
+    val stats = kernel.mergeHoisted(_order, cut, src, dst)
     detect()
     Some(stats)
   }

@@ -28,12 +28,24 @@ object StaticPeeling {
       val v = heap.popMin()
       seq(i) = v
       wts(i) = w
-      g.foreachIncident(v) { (x, c) =>
-        if (heap.contains(x)) heap.addTo(x, -c)
-      }
+      g.checkVertex(v)
+      unpeel(heap, g.outNbrs(v), g.outWts(v), g.outCount(v))
+      unpeel(heap, g.inNbrs(v), g.inWts(v), g.inCount(v))
       i += 1
     }
     PeelOrder.fromArrays(seq, wts, n - 1)
+  }
+
+  /** Take a peeled vertex's edges `(nbrs(i), ws(i))`, `i < cnt`, off the
+    * weights of its neighbours still in the heap.
+    */
+  private def unpeel(heap: IndexedMinHeap, nbrs: Array[Int], ws: Array[Double], cnt: Int): Unit = {
+    var i = 0
+    while (i < cnt) {
+      val x = nbrs(i)
+      if (heap.contains(x)) heap.addTo(x, -ws(i))
+      i += 1
+    }
   }
 
   /** Convenience: peel and detect in one call (the "from scratch on every

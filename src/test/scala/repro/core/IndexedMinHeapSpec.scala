@@ -118,4 +118,58 @@ class IndexedMinHeapSpec extends AnyFunSuite {
       }
     }
   }
+
+  test("property: the 4-ary heap matches a sorted reference under every operation") {
+    // 1, 5, 21 and 85 entries fill one, two, three and four levels of a
+    // 4-ary heap; each size is run as a target the workload hovers around.
+    val sizes = Seq(1, 2, 3, 4, 5, 6, 17, 20, 21, 22, 84, 85, 86)
+    for (target <- sizes; seed <- 1L to 4L) {
+      val rng = new scala.util.Random(seed * 1000 + target)
+      val universe = 2 * target + 3
+      val h = new IndexedMinHeap(1 + rng.nextInt(4))
+      val ref = scala.collection.mutable.Map.empty[Int, Double]
+      // Few distinct keys, so ties (broken by id) are common.
+      def key(): Double = rng.nextInt(6) * 0.5
+      def check(op: String): Unit = {
+        val clue = s"target $target seed $seed after $op"
+        assert(h.size == ref.size && h.isEmpty == ref.isEmpty, clue)
+        (0 until universe).foreach { id =>
+          assert(h.contains(id) == ref.contains(id), s"$clue: contains($id)")
+          if (ref.contains(id)) assert(h.keyOf(id) == ref(id), s"$clue: keyOf($id)")
+        }
+        if (ref.nonEmpty) {
+          val (k, id) = ref.toList.map { case (i, k) => (k, i) }.min
+          assert(h.minKey == k && h.minId == id, clue)
+        }
+      }
+      def absent(): Int = Iterator.continually(rng.nextInt(universe)).find(!ref.contains(_)).get
+      def present(): Int = ref.keys.toIndexedSeq(rng.nextInt(ref.size))
+      (0 until 400).foreach { step =>
+        val grow = ref.size < target
+        rng.nextInt(12) match {
+          case 0 | 1 | 2 if grow || ref.size < universe =>
+            val id = absent(); val k = key()
+            h.insert(id, k); ref(id) = k; check(s"insert($id, $k)")
+          case 3 | 4 if ref.nonEmpty =>
+            val id = present(); val k = ref(id) - 0.5 * (1 + rng.nextInt(3))
+            h.changeKey(id, k); ref(id) = k; check(s"changeKey($id, $k) down")
+          case 5 | 6 if ref.nonEmpty =>
+            val id = present(); val k = ref(id) + 0.5 * rng.nextInt(3)
+            h.changeKey(id, k); ref(id) = k; check(s"changeKey($id, $k) up or same")
+          case 7 | 8 if ref.nonEmpty =>
+            val id = present(); val d = (rng.nextInt(5) - 2) * 0.5
+            h.addTo(id, d); ref(id) += d; check(s"addTo($id, $d)")
+          case 9 | 10 if ref.nonEmpty && !grow =>
+            val (_, id) = ref.toList.map { case (i, k) => (k, i) }.min
+            assert(h.popMin() == id, s"target $target seed $seed step $step: popMin")
+            ref -= id; check("popMin")
+          case 11 if step % 97 == 11 =>
+            h.clear(); ref.clear(); check("clear")
+          case _ => ()
+        }
+      }
+      val drained = Iterator.continually(h).takeWhile(_.nonEmpty).map(q => (q.minKey, q.popMin())).toList
+      assert(drained == ref.toList.map { case (i, k) => (k, i) }.sorted, s"target $target seed $seed: drain")
+    }
+  }
 }

@@ -45,6 +45,38 @@ class MetricsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](bad.vsusp(0, new DynGraph()))
   }
 
+  /** DG weights, with `prior` for vertex `bad` and 0 for every other vertex. */
+  private def priorOn(bad: Int, prior: Double): Suspiciousness = new Suspiciousness {
+    val name = "DG-prior"
+    def vsusp(u: Int, g: DynGraph): Double = if (u == bad) prior else 0.0
+    def esusp(tx: Tx, g: DynGraph): Double = 1.0
+  }
+
+  test("a bad prior on a new vertex rejects the whole batch before any change") {
+    // The paper graph has vertices 0..4. The batch's first edge is between
+    // existing vertices; its second creates 5 (a gap id) and 6.
+    val batch = Seq(Tx(0, 3, 1.0), Tx(1, 6, 1.0))
+    Seq[Suspiciousness](
+      new Suspiciousness.Fraudar(prior = u => if (u == 6) -1.0 else 0.0), // FD's own check throws
+      priorOn(6, -1.0), priorOn(5, -0.5), priorOn(5, Double.NaN), priorOn(6, Double.PositiveInfinity),
+    ).foreach { m =>
+      val spade = loadedSpade(m, paperEdges)
+      val order = spade.order.toVertexSeq
+      val weights = spade.order.toWeightSeq
+      intercept[IllegalArgumentException](spade.insertBatchEdges(batch))
+      assert(spade.graph.numVertices == 5 && spade.graph.numEdges == 4, m.name)
+      assert(spade.order.toVertexSeq == order && spade.order.toWeightSeq == weights, m.name)
+      intercept[IllegalArgumentException](spade.insertGrouped(batch(1)))
+      assert(spade.pendingCount == 0 && spade.graph.numVertices == 5, m.name)
+      spade.insertBatchEdges(Seq(Tx(0, 3, 1.0), Tx(1, 4, 1.0)))
+      assertMatchesStatic(spade, s"${m.name} after the rejected batch", exact = false)
+
+      val fresh = new Spade(m)
+      intercept[IllegalArgumentException](fresh.insertBatchEdges(paperEdges ++ batch))
+      assert(fresh.graph.numVertices == 0 && fresh.order.length == 0, m.name)
+    }
+  }
+
   test("Property 3.1: DG/DW/FD weights satisfy a_i >= 0 and c_ij > 0 on a replayed stream") {
     val txs = randomTxs(20, 100, 31)
     Suspiciousness.paperMetrics.foreach { m =>
