@@ -201,8 +201,14 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
     * `active(v)` must say whether `v` is still in the set. O(deg(u)).
     */
   def peelWeight(u: Int)(active: Int => Boolean): Double = {
+    checkVertex(u)
     var w = a(u)
-    foreachIncident(u) { (v, c) => if (active(v)) w += c }
+    val on = outNbr(u); val ow = outW(u); val oc = outCnt(u)
+    var i = 0
+    while (i < oc) { if (active(on(i))) w += ow(i); i += 1 }
+    val nn = inNbr(u); val nw = inW(u); val ic = inCnt(u)
+    i = 0
+    while (i < ic) { if (active(nn(i))) w += nw(i); i += 1 }
     w
   }
 

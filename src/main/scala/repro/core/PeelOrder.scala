@@ -25,8 +25,9 @@ final case class Community(density: Double, members: Array[Int]) {
   * `Detect` walks back from the tail and stops as soon as no longer suffix
   * can qualify. The stop test reads a block-max index: the max `Δ` of each
   * block of 256 absolute indices and its running max over blocks. Writes
-  * only widen a dirty range; the next walk re-scans the dirty blocks, which
-  * costs as much as the write-back that dirtied them.
+  * only flag their blocks dirty; the next walk re-scans the flagged blocks
+  * (or the next merge does, since the merge kernel reads the block maxima
+  * to move white runs a block at a time).
   */
 final class PeelOrder private (
     private var seqArr: Array[Int],
@@ -38,9 +39,12 @@ final class PeelOrder private (
   import PeelOrder._
 
   // blockMax(b): max Δ over block b ∩ [start, end); prefixMax(b): max of
-  // blockMax(0..b). Valid outside the dirty range [dirtyLo, dirtyHi).
+  // blockMax(0..b). A write flags its block dirty; the dirty blocks lie in
+  // [dirtyLo, dirtyHi). blockMax is valid for every block not flagged,
+  // prefixMax for the blocks before the first flagged one.
   private var blockMax = new Array[Double](blocksFor(wtArr.length))
   private var prefixMax = new Array[Double](blockMax.length)
+  private var dirty = Array.fill(blockMax.length)(true)
   private var dirtyLo = 0
   private var dirtyHi = wtArr.length
   private var walked = 0
@@ -75,11 +79,63 @@ final class PeelOrder private (
       throw new IllegalArgumentException(s"requirement failed: index $p outside [$startIdx, $endIdx)")
 
   @inline private def markDirty(p: Int): Unit = {
+    dirty(p >> BlockBits) = true
     if (p < dirtyLo) dirtyLo = p
     if (p >= dirtyHi) dirtyHi = p + 1
   }
 
-  /** Overwrite the entry at absolute index `p` (used by window write-back). */
+  // ---- raw access for the merge kernel ----
+  // No range checks: the kernel writes only inside the window it read, and
+  // marks the window dirty once, when it closes it (`markDirty(lo, hi)`).
+
+  /** Write `v` with weight `w` at absolute index `p`, without marking dirty. */
+  @inline private[core] def put(p: Int, v: Int, w: Double): Unit = {
+    seqArr(p) = v
+    wtArr(p) = w
+    posArr(v) = p
+  }
+
+  /** Shift the `len` entries at `from` to `to <= from` (two `arraycopy`
+    * calls and one `posOf` loop), without marking dirty.
+    */
+  private[core] def moveLeft(from: Int, to: Int, len: Int): Unit =
+    if (to != from) {
+      System.arraycopy(seqArr, from, seqArr, to, len)
+      System.arraycopy(wtArr, from, wtArr, to, len)
+      reindex(to, to + len)
+    }
+
+  /** Copy `vs(0 until len)` / `ws(0 until len)` to absolute index `p`,
+    * without marking dirty.
+    */
+  private[core] def putAll(p: Int, vs: Array[Int], ws: Array[Double], len: Int): Unit = {
+    System.arraycopy(vs, 0, seqArr, p, len)
+    System.arraycopy(ws, 0, wtArr, p, len)
+    reindex(p, p + len)
+  }
+
+  private def reindex(lo: Int, hi: Int): Unit = {
+    var p = lo
+    while (p < hi) { posArr(seqArr(p)) = p; p += 1 }
+  }
+
+  /** Mark `[lo, hi)` rewritten: the next walk re-scans its blocks. */
+  private[core] def markDirty(lo: Int, hi: Int): Unit =
+    if (lo < hi) {
+      java.util.Arrays.fill(dirty, lo >> BlockBits, ((hi - 1) >> BlockBits) + 1, true)
+      if (lo < dirtyLo) dirtyLo = lo
+      if (hi > dirtyHi) dirtyHi = hi
+    }
+
+  /** Number of blocks of the index (every absolute index has one). */
+  private[core] def blockCount: Int = blockMax.length
+
+  /** Max `Δ` over block `b ∩ [start, end)`. Exact for a block the last
+    * `refreshBlocks` left clean and nothing has written since.
+    */
+  @inline private[core] def blockMaxAt(b: Int): Double = blockMax(b)
+
+  /** Overwrite the entry at absolute index `p`. */
   def set(p: Int, v: Int, w: Double): Unit = {
     checkIdx(p)
     seqArr(p) = v
@@ -125,6 +181,7 @@ final class PeelOrder private (
       startIdx += room; endIdx += room
       blockMax = new Array[Double](blocksFor(newLen))
       prefixMax = new Array[Double](blockMax.length)
+      dirty = Array.fill(blockMax.length)(true)
       dirtyLo = 0; dirtyHi = newLen
     }
     startIdx -= 1
@@ -209,17 +266,23 @@ final class PeelOrder private (
     Walk(best, bestIdx, cutIdx)
   }
 
-  /** Re-scan the dirty blocks, then redo the running max from the first. */
-  private def refreshBlocks(): Unit = if (dirtyLo < dirtyHi) {
+  /** Re-scan the dirty blocks, then redo the running max from the first.
+    * Afterwards every block max is exact. The blocks between two windows
+    * of one merge were not written and are not re-scanned.
+    */
+  private[core] def refreshBlocks(): Unit = if (dirtyLo < dirtyHi) {
     val b0 = dirtyLo >> BlockBits
     val b1 = (dirtyHi - 1) >> BlockBits
     var b = b0
     while (b <= b1) {
-      var m = Double.NegativeInfinity
-      var p = math.max(b << BlockBits, startIdx)
-      val until = math.min((b + 1) << BlockBits, endIdx)
-      while (p < until) { if (wtArr(p) > m) m = wtArr(p); p += 1 }
-      blockMax(b) = m
+      if (dirty(b)) {
+        var m = Double.NegativeInfinity
+        var p = math.max(b << BlockBits, startIdx)
+        val until = math.min((b + 1) << BlockBits, endIdx)
+        while (p < until) { if (wtArr(p) > m) m = wtArr(p); p += 1 }
+        blockMax(b) = m
+        dirty(b) = false
+      }
       b += 1
     }
     var run = if (b0 == 0) Double.NegativeInfinity else prefixMax(b0 - 1)
@@ -230,6 +293,51 @@ final class PeelOrder private (
       b += 1
     }
     dirtyLo = Int.MaxValue; dirtyHi = Int.MinValue
+  }
+
+  /** Check the order's own invariants, throwing `IllegalStateException` at
+    * the first one broken:
+    *  - `posOf` and `seq` are inverse over `[start, end)`, and every id
+    *    outside the order has `posOf = -1`;
+    *  - every block not flagged dirty has the exact max `Δ`, and every
+    *    block before the dirty range has the exact running max.
+    * O(capacity); for tests.
+    */
+  private[core] def checkInvariants(): Unit = {
+    def fail(msg: String): Nothing = throw new IllegalStateException(msg)
+    var p = startIdx
+    while (p < endIdx) {
+      val v = seqArr(p)
+      if (v < 0 || v >= posArr.length || posArr(v) != p)
+        fail(s"seq($p) = $v but posOf($v) = ${if (v >= 0 && v < posArr.length) posArr(v) else "n/a"}")
+      p += 1
+    }
+    var inOrder = 0
+    var v = 0
+    while (v < posArr.length) {
+      val q = posArr(v)
+      if (q >= 0) {
+        if (q < startIdx || q >= endIdx || seqArr(q) != v)
+          fail(s"posOf($v) = $q, but $v is not at that index of [$startIdx, $endIdx)")
+        inOrder += 1
+      } else if (q != -1) fail(s"posOf($v) = $q")
+      v += 1
+    }
+    if (inOrder != endIdx - startIdx) fail(s"$inOrder ids have a position, the order holds ${endIdx - startIdx}")
+    val firstDirty = if (dirtyLo < dirtyHi) dirtyLo >> BlockBits else blockMax.length
+    var run = Double.NegativeInfinity
+    var b = 0
+    while (b < blockMax.length) {
+      var m = Double.NegativeInfinity
+      p = math.max(b << BlockBits, startIdx)
+      val until = math.min((b + 1) << BlockBits, endIdx)
+      while (p < until) { if (wtArr(p) > m) m = wtArr(p); p += 1 }
+      if (m > run) run = m
+      if (!dirty(b) && blockMax(b) != m) fail(s"block $b: max ${blockMax(b)}, recomputed $m")
+      if (dirty(b) && b < firstDirty) fail(s"block $b is dirty outside the dirty range")
+      if (b < firstDirty && prefixMax(b) != run) fail(s"block $b: running max ${prefixMax(b)}, recomputed $run")
+      b += 1
+    }
   }
 }
 
@@ -243,7 +351,8 @@ object PeelOrder {
   /** Relative margin of the walk's stop test against float rounding. */
   private val Slack = 1e-9
 
-  private val BlockBits = 8
+  /** log2 of the block size of the block-max index (256 entries). */
+  private[core] final val BlockBits = 8
   private val BlockMask = (1 << BlockBits) - 1
   private def blocksFor(capacity: Int): Int = (capacity >> BlockBits) + 1
 

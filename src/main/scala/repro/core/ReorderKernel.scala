@@ -13,7 +13,16 @@ package repro.core
   * hole that the scan skips. Its neighbours at or after the frontier still
   * count it in their stored `Δ`, so they enter the heap too.
   *
-  * Every piece of the merge's state (cursor, window, counters) is a field,
+  * Emitted entries are written straight back into the order behind the
+  * read cursor. A white run moves a block at a time: the rest of a
+  * 256-entry block of the order (`PeelOrder.BlockBits`) is shifted left in
+  * one move when the block holds no black, gray or hole entry and its max
+  * `Δ` is strictly below the heap's min key, since then every entry of it is
+  * a white that Case 1 cannot interrupt. Black, gray and hole entries stamp
+  * their block with the epoch as they arise; a stamp is sticky, which only
+  * ever sends a block back to the per-entry path.
+  *
+  * Every piece of the merge's state (cursors, window, counters) is a field,
   * and adjacency is walked with `while` loops over `DynGraph`'s raw arrays,
   * so a merge allocates nothing per vertex: no captured-variable boxes and
   * no closures. The scratch arrays only grow.
@@ -33,19 +42,31 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   // into their sorted positions in place.
   private var blacks = new Array[Int](16)
   private var nBlacks = 0
-  // The emitted window, written back to the order by `flush`.
+  // blockStamp(b) == epoch: block b of the order holds a black, gray or
+  // hole entry ahead of the frontier, so it cannot move whole.
+  private var blockStamp = new Array[Int](16)
+  // Emitted entries wait here only while an early-emitted vertex's hole
+  // lies ahead: the write cursor may then pass the read cursor.
   private var bufV = new Array[Int](16)
   private var bufW = new Array[Double](16)
 
   // ---- state of the running merge ----
   private var order: PeelOrder = _
   private var k = 0           // scan frontier: next absolute index to read
-  private var windowStart = 0 // first index of the window not yet written back
+  private var wr = 0          // write cursor: next absolute index to emit to
+  private var windowStart = 0 // first index of the current window
+  private var nextCheck = 0   // the next index at which to try a block move
+  private var bufStart = 0    // index that `bufV(0)` is written to
   private var bufLen = 0
   private var recovered = 0
   private var emittedTotal = 0
   private var edgesTouched = 0L
-  private var ahead = 0 // heap members whose slot the scan has not reached yet
+  private var ahead = 0      // heap members whose slot the scan has not reached yet
+  private var holesAhead = 0 // early-emitted vertices whose slot the scan has not reached yet
+  private var blockMoved = 0
+
+  /** Entries the last merge moved by whole blocks (part of `emitted`). */
+  private[core] def lastBlockMoved: Int = blockMoved
 
   /** Start an update over vertex ids `0 until n`: no vertex is black or gray. */
   def newEpoch(n: Int): Unit = {
@@ -78,6 +99,8 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     java.util.Arrays.sort(blacks, 0, nBlacks)
     val cut = blacks(0)
     begin(o, cut)
+    i = 0
+    while (i < nBlacks) { stamp(blacks(i)); i += 1 }
     run(cut, newVerts)
   }
 
@@ -96,45 +119,62 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   private def begin(o: PeelOrder, cut: Int): Unit = {
     heap.clear()
     order = o
+    // A block move trusts the block max of every block ahead of the
+    // frontier; the ones the last merges wrote (or prepends added) are
+    // re-scanned here, unless a walk already did.
+    o.refreshBlocks()
+    if (blockStamp.length < o.blockCount)
+      blockStamp = java.util.Arrays.copyOf(blockStamp, math.max(blockStamp.length * 2, o.blockCount))
     k = cut
+    wr = cut
     windowStart = cut
+    nextCheck = cut
     bufLen = 0
     recovered = 0
     emittedTotal = 0
     edgesTouched = 0L
     ahead = 0
+    holesAhead = 0
+    blockMoved = 0
   }
+
+  /** The block of index `p` cannot move whole in this merge. */
+  @inline private def stamp(p: Int): Unit = blockStamp(p >> PeelOrder.BlockBits) = epoch
 
   private def run(cut: Int, newVerts: Int): ReorderStats = {
     val end = order.end
     var bp = 0 // next entry of `blacks(0 until nBlacks)`, sorted positions
     var done = false
     while (!done) {
-      // Jump or stop only when balanced: an empty heap and no hole ahead
-      // (every early-emitted vertex's slot already passed).
-      if (heap.isEmpty && bufLen == k - windowStart) {
+      // Jump or stop only when balanced: an empty heap and every entry
+      // read also written (so every early-emitted vertex's slot passed).
+      if (heap.isEmpty && wr == k) {
         while (bp < nBlacks && blacks(bp) < k) bp += 1
         if (bp >= nBlacks) {
-          flush(k)
+          close(k)
           done = true // tail [k, end) untouched — Lemma 4.1 in reverse
         } else {
           val nb = blacks(bp)
-          if (nb > k) { flush(k); windowStart = nb; k = nb }
+          if (nb > k) { close(k); windowStart = nb; k = nb; wr = nb }
           enterHeap(order.vertexAt(k))
           k += 1
           bp += 1
         }
       } else if (k >= end) {
         popHead()
-      } else {
+      } else if (k < nextCheck || !moveBlock(end)) {
         val v = order.vertexAt(k)
         val kw = order.weightAt(k)
         val black = blackMark(v) == epoch
         if (black && (heap.contains(v) || order.posOf(v) != k)) {
           // Hole: `v` entered the heap before its slot. Its stored Δ_k is
           // stale and must not decide a pop.
-          if (heap.contains(v)) ahead -= 1
           k += 1
+          if (heap.contains(v)) ahead -= 1
+          else {
+            holesAhead -= 1
+            if (holesAhead == 0) drain()
+          }
         } else if (heap.nonEmpty && headBefore(v, kw)) {
           // Case 1: the pending head is the global minimum (Lemma 4.2)
           popHead()
@@ -144,13 +184,36 @@ private[core] final class ReorderKernel(graph: DynGraph) {
           k += 1
         } else {
           // Case 2(b)/3: white vertex, stored Δ_k is exact and minimal
-          emitWhite(v, kw)
+          emit(v, kw)
           k += 1
         }
       }
     }
     order = null // `Spade.loadGraph` may replace the order between merges
     ReorderStats(cut, k, emittedTotal, recovered, edgesTouched, newVerts)
+  }
+
+  /** Emit the rest of the frontier's block, `[k, e)`, in one move if every
+    * entry of it is a white that Case 1 cannot interrupt: no black, gray or
+    * hole entry (no stamp), and a block max strictly below the heap's min
+    * key (ties fall back, since the id tie-break may pop first). No heap
+    * entry and no pop can then happen inside it, so the entries just shift
+    * left by the pending count, `k - wr`. Only while no early-emitted hole
+    * lies ahead, so that the write cursor is at or behind the read cursor.
+    * Either way the next try is at the next block, or after a pop.
+    */
+  private def moveBlock(end: Int): Boolean = {
+    val b = k >> PeelOrder.BlockBits
+    val e = math.min((b + 1) << PeelOrder.BlockBits, end)
+    nextCheck = e
+    val move = holesAhead == 0 && blockStamp(b) != epoch && order.blockMaxAt(b) < heap.minKey
+    if (move) {
+      order.moveLeft(k, wr, e - k)
+      blockMoved += e - k
+      wr += e - k
+      k = e
+    }
+    move
   }
 
   @inline private def isGray(v: Int): Boolean = grayEpoch(v) == epoch && grayCnt(v) > 0
@@ -163,6 +226,7 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   private def popHead(): Unit = {
     val w = heap.minKey
     emitPopped(heap.popMin(), w)
+    nextCheck = k // the min key rose: the rest of the block may move now
   }
 
   // A *white* vertex is by construction not adjacent to any heap member
@@ -170,20 +234,43 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   // needs no adjacency walk — this is what makes the affected area
   // O(|E_T|) instead of O(window × avg degree). Only heap pops walk their
   // adjacency to decrement remaining members (the paper's Case 1).
-  private def emitWhite(v: Int, w: Double): Unit = {
-    if (bufLen == bufV.length) {
-      bufV = java.util.Arrays.copyOf(bufV, bufLen * 2)
-      bufW = java.util.Arrays.copyOf(bufW, bufLen * 2)
+  //
+  // Without a hole ahead the write cursor is at or behind the read cursor
+  // (it trails it by the heap members whose slot the scan passed), so the
+  // entry goes straight to its final index. Insertion never has a hole.
+  // The cursors meet only for a white read at `k` with nothing pending
+  // behind it (a deletion before its first pop): it is already in place.
+  private def emit(v: Int, w: Double): Unit = {
+    if (holesAhead == 0) { if (wr != k) order.put(wr, v, w) }
+    else {
+      if (bufLen == bufV.length) {
+        bufV = java.util.Arrays.copyOf(bufV, bufLen * 2)
+        bufW = java.util.Arrays.copyOf(bufW, bufLen * 2)
+      }
+      bufV(bufLen) = v; bufW(bufLen) = w; bufLen += 1
     }
-    bufV(bufLen) = v; bufW(bufLen) = w; bufLen += 1
+    wr += 1
+  }
+
+  /** The last hole ahead was passed: the write cursor is back at or behind
+    * the read cursor, so the buffered entries go to their final indices.
+    */
+  private def drain(): Unit = {
+    order.putAll(bufStart, bufV, bufW, bufLen)
+    bufLen = 0
   }
 
   private def emitPopped(v: Int, w: Double): Unit = {
-    emitWhite(v, w)
     // Only a vertex that entered ahead of its slot can pop before it; the
     // counter spares insertion a position lookup per pop.
     val early = ahead > 0 && order.posOf(v) >= k
-    if (early) { ahead -= 1; order.vacate(v) }
+    if (early) {
+      ahead -= 1
+      if (holesAhead == 0) bufStart = wr
+      holesAhead += 1
+      order.vacate(v)
+    }
+    emit(v, w)
     graph.checkVertex(v)
     decrement(graph.outNbrs(v), graph.outWts(v), graph.outCount(v))
     decrement(graph.inNbrs(v), graph.inWts(v), graph.inCount(v))
@@ -224,7 +311,11 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     edgesTouched += cnt
   }
 
+  /** `v` enters the heap before the scan reaches its slot, which becomes a
+    * hole.
+    */
   private def enterAhead(v: Int): Unit = {
+    stamp(order.posOf(v))
     enterHeap(v)
     ahead += 1
   }
@@ -239,20 +330,26 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   }
 
   /** Add to `w` the edges `(nbrs(i), ws(i))`, `i < cnt`, whose neighbour is
-    * still active, and gray every neighbour.
+    * still active, and gray every neighbour (stamping the block of one
+    * ahead of the frontier).
     *
     * A vertex is still *active* (unpeeled in the order being built) iff it
     * is pending in the heap, or it sits at/after the scan frontier. Emitted
-    * and jump-skipped vertices have (possibly stale) positions strictly
-    * before the frontier, and an early-emitted one has none, so one
-    * position test covers them all.
+    * and jump-skipped vertices have positions strictly before the frontier
+    * (a heap member's may be stale and the frontier's entry may be
+    * overwritten), and an early-emitted one has none, so one position test
+    * covers them all.
     */
   private def recover(nbrs: Array[Int], ws: Array[Double], cnt: Int, w0: Double): Double = {
     var w = w0
     var i = 0
     while (i < cnt) {
       val x = nbrs(i)
-      if (heap.contains(x) || order.posOf(x) >= k) w += ws(i)
+      if (heap.contains(x)) w += ws(i)
+      else {
+        val p = order.posOf(x)
+        if (p >= k) { w += ws(i); stamp(p) }
+      }
       if (grayEpoch(x) != epoch) { grayEpoch(x) = epoch; grayCnt(x) = 0 }
       grayCnt(x) += 1
       i += 1
@@ -261,15 +358,15 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     w
   }
 
-  private def flush(upTo: Int): Unit = {
+  /** End the current window at `upTo`: every entry read is written, and
+    * the next walk re-scans the window's blocks.
+    */
+  private def close(upTo: Int): Unit = {
     // `assert` would build its by-name message as a closure on every call.
-    if (bufLen != upTo - windowStart)
+    if (wr != upTo || bufLen != 0)
       throw new AssertionError(
-        s"assertion failed: window accounting broken: buffered $bufLen vs span ${upTo - windowStart}")
-    var i = 0
-    while (i < bufLen) { order.set(windowStart + i, bufV(i), bufW(i)); i += 1 }
-    emittedTotal += bufLen
-    bufLen = 0
-    windowStart = upTo
+        s"assertion failed: window accounting broken: wrote ${wr - windowStart} ($bufLen buffered) vs span ${upTo - windowStart}")
+    order.markDirty(windowStart, upTo)
+    emittedTotal += upTo - windowStart
   }
 }

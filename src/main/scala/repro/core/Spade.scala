@@ -90,16 +90,32 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
   // ------------------------------------------------------------------
 
   /** Bulk-load transactions (weights materialized in arrival order), then
-    * run the static peeling once. Returns the initial community.
+    * run the static peeling once. Returns the initial community. The whole
+    * load is validated first, edges and the priors of the vertices it
+    * creates, so a malformed edge or prior rejects it before any change.
     */
   def loadGraph(txs: IterableOnce[Tx]): Community = {
-    txs.iterator.foreach { t =>
-      addVertices(priorsUpTo(math.max(t.src, t.dst)))
-      addTx(t)
-    }
+    val all = txs.iterator.toArray
+    val priors = validateAll(all)
+    addVertices(priors)
+    all.foreach(addTx)
     _order = StaticPeeling.peel(graph)
     loaded = true
     detect()
+  }
+
+  /** Validate every edge of an update, then return the priors of the vertex
+    * ids it creates (`priorsUpTo` of its largest endpoint). Mutates nothing.
+    */
+  private def validateAll(txs: Iterable[Tx]): Array[Double] = {
+    var maxId = -1
+    val it = txs.iterator
+    while (it.hasNext) {
+      val t = it.next()
+      validate(t)
+      maxId = math.max(maxId, math.max(t.src, t.dst))
+    }
+    priorsUpTo(maxId)
   }
 
   /** The `vsusp` prior of every vertex id up to `maxId` that the graph does
@@ -154,7 +170,10 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     * `beta` of the best density — equally dense fraud instances are all
     * reported, not only the single argmax. Same pruned walk as `detect`.
     */
-  def detectSuspects(beta: Double = 0.6): Community = _order.detectThreshold(beta)
+  def detectSuspects(beta: Double = Spade.DefaultSpotBeta): Community = _order.detectThreshold(beta)
+
+  /** Entries the last merge moved by whole blocks (for tests). */
+  private[core] def lastBlockMoved: Int = kernel.lastBlockMoved
 
   // ------------------------------------------------------------------
   // Incremental insertion (§4.1 / §4.2)
@@ -168,15 +187,11 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     * a malformed edge or prior rejects it before any change.
     */
   def insertBatchEdges(txs: Seq[Tx]): ReorderStats = {
-    txs.foreach(validate)
-    var maxId = -1
-    val it = txs.iterator
-    while (it.hasNext) { val t = it.next(); maxId = math.max(maxId, math.max(t.src, t.dst)) }
-    val priors = priorsUpTo(maxId)
+    if (!loaded) { loadGraph(txs); return ReorderStats.zero }
+    val priors = validateAll(txs)
+    if (txs.isEmpty) return ReorderStats.zero
     val oldN = graph.numVertices
     addVertices(priors)
-    if (!loaded) { loadGraph(txs); return ReorderStats.zero }
-    if (txs.isEmpty) return ReorderStats.zero
 
     // Materialize the updates; the black set is ΔV = edge endpoints plus
     // every new vertex id (including ids the dense id space forces into
@@ -285,8 +300,7 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     if (w.isNaN) return None
 
     val pi = math.min(_order.posOf(src), _order.posOf(dst))
-    val activeAtPi = (x: Int) => _order.posOf(x) >= pi
-    val b = math.min(graph.peelWeight(src)(activeAtPi), graph.peelWeight(dst)(activeAtPi))
+    val b = math.min(weightFrom(src, pi), weightFrom(dst, pi))
 
     // Inclusive at ties (`>=`): with exact equal weights the id tie-break
     // may move an endpoint before a tied prefix vertex, so tied positions
@@ -299,4 +313,30 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     detect()
     Some(stats)
   }
+
+  /** Peel weight of `u` against the vertices at or after index `from`. */
+  private def weightFrom(u: Int, from: Int): Double = {
+    graph.checkVertex(u)
+    val w = sumFrom(graph.outNbrs(u), graph.outWts(u), graph.outCount(u), from, graph.vertexWeight(u))
+    sumFrom(graph.inNbrs(u), graph.inWts(u), graph.inCount(u), from, w)
+  }
+
+  private def sumFrom(nbrs: Array[Int], ws: Array[Double], cnt: Int, from: Int, w0: Double): Double = {
+    var w = w0
+    var i = 0
+    while (i < cnt) {
+      if (_order.posOf(nbrs(i)) >= from) w += ws(i)
+      i += 1
+    }
+    w
+  }
+}
+
+object Spade {
+
+  /** Default spotting threshold β of `detectSuspects`: a vertex is a suspect
+    * when it sits in the largest suffix within 60% of the best density
+    * (Fig. 14 semantics — equally dense instances are all reported).
+    */
+  val DefaultSpotBeta = 0.6
 }

@@ -23,11 +23,8 @@ import scala.collection.mutable
   */
 object StreamReplay {
 
-  /** Default spotting threshold: a vertex is a suspect when it sits in the
-    * largest suffix within 60% of the best density (Fig. 14 semantics —
-    * equally dense instances are all reported).
-    */
-  val DefaultSpotBeta = 0.6
+  /** The spotting threshold of every replay: `Spade.DefaultSpotBeta`. */
+  val DefaultSpotBeta: Double = Spade.DefaultSpotBeta
 
   /** Aggregated result of one replay configuration. */
   final case class ReplayResult(

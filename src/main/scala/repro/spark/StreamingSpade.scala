@@ -20,7 +20,7 @@ import scala.collection.mutable
   * single stream, which is the consistency the evolving-graph model of §2.1
   * (ordered edge insertions) requires.
   */
-final class StreamingSpade(metric: Suspiciousness, spotBeta: Double = 0.6) {
+final class StreamingSpade(metric: Suspiciousness, spotBeta: Double = Spade.DefaultSpotBeta) {
 
   val spade = new Spade(metric)
 

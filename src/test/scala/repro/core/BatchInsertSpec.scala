@@ -157,4 +157,25 @@ class BatchInsertSpec extends AnyFunSuite {
     spade.insertBatchEdges(Seq(paperInsertion))
     assertMatchesStatic(spade, "after rejected batches")
   }
+
+  test("a malformed edge rejects the whole load before any change") {
+    val spade = new Spade(Suspiciousness.DW)
+    Seq(
+      Seq(Tx(0, 1, 2.0), Tx(1, 2, 2.0), Tx(2, 2, 1.0), Tx(2, 3, 1.0)), // self-loop at index 2
+      Seq(Tx(0, 1, 2.0), Tx(1, 2, 0.0)),                               // DW amount <= 0
+      Seq(Tx(0, 1, 2.0), Tx(1, -2, 1.0)),                              // negative id
+    ).foreach { load =>
+      intercept[IllegalArgumentException](spade.loadGraph(load.iterator))
+      assert(spade.graph.numVertices == 0 && spade.graph.numEdges == 0, s"$load")
+      assert(spade.order.length == 0, s"$load")
+      // nothing is loaded: grouped insertion still refuses to run
+      intercept[IllegalArgumentException](spade.insertGrouped(Tx(0, 1, 1.0)))
+    }
+    spade.loadGraph(paperEdges.iterator)
+    val fresh = loadedSpade(Suspiciousness.DW, paperEdges)
+    assert(spade.graph.numVertices == fresh.graph.numVertices && spade.graph.numEdges == fresh.graph.numEdges)
+    assert(spade.order.toVertexSeq == fresh.order.toVertexSeq)
+    assert(spade.order.toWeightSeq == fresh.order.toWeightSeq)
+    assertMatchesStatic(spade, "after rejected loads")
+  }
 }

@@ -106,9 +106,11 @@ class DeletionSpec extends AnyFunSuite {
         val spade = loadedSpade(m, live.toSeq)
         def fresh(): Tx = skewedTxs(nc, nm, 1, rng.nextLong()).head
         // FD's greedy check is O(V² · deg): drain steps check it every 4th.
-        def check(clue: String, i: Int = 0): Unit =
+        def check(clue: String, i: Int = 0): Unit = {
+          spade.order.checkInvariants()
           if (m.name != "FD") assertMatchesStatic(spade, clue)
           else if (i % 4 == 0) assertValidGreedy(spade, clue)
+        }
         (0 until 60).foreach { step =>
           rng.nextInt(4) match {
             case 0 => val t = fresh(); spade.insertEdge(t); live += t

@@ -6,7 +6,8 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** The merge kernel keeps its state in fields and walks adjacency with
   * `while` loops, so a reorder allocates a few fixed objects per call (the
-  * stats, the batch wrapper), never per recovered vertex.
+  * stats, the batch wrapper, a delete's `detect` result), never per
+  * recovered vertex.
   */
 class ReorderAllocationSpec extends AnyFunSuite {
   import TestUtil._
@@ -21,16 +22,19 @@ class ReorderAllocationSpec extends AnyFunSuite {
     val seq = spade.order.toVertexSeq
     val rng = new scala.util.Random(3)
 
-    /** Insert `t` (returning its stats and the bytes the insert allocated)
-      * and delete it again: DG's order is exact, so every round repeats the
-      * same merges.
+    /** Insert `t` and delete it again, returning the insert's stats and the
+      * bytes the insert and the delete each allocated. The delete's count
+      * leaves out the member array of the community its `detect` returns
+      * (16 header bytes plus 4 per member, 8-byte aligned). DG's order is
+      * exact, so every round repeats the same merges.
       */
-    def insertAndUndo(t: Tx): (ReorderStats, Long) = {
+    def insertAndUndo(t: Tx): (ReorderStats, Long, Long) = {
       val before = bean.getThreadAllocatedBytes(tid)
       val st = spade.insertEdge(t)
-      val bytes = bean.getThreadAllocatedBytes(tid) - before
+      val mid = bean.getThreadAllocatedBytes(tid)
       assert(spade.deleteEdge(t.src, t.dst).isDefined)
-      (st, bytes)
+      val deleteBytes = bean.getThreadAllocatedBytes(tid) - mid - ((16 + 4L * spade.community.size + 7) & ~7L)
+      (st, mid - before, deleteBytes)
     }
 
     val big = Iterator.continually {
@@ -43,9 +47,10 @@ class ReorderAllocationSpec extends AnyFunSuite {
     // Warm up: the scratch arrays reach their size and the JIT compiles.
     (0 until 300).foreach(_ => big.foreach(insertAndUndo))
     big.foreach { t =>
-      val (st, bytes) = insertAndUndo(t)
+      val (st, bytes, deleteBytes) = insertAndUndo(t)
       assert(st.recovered >= 500, s"$t")
       assert(bytes < 4096, s"$t: recovered ${st.recovered}, allocated $bytes bytes")
+      assert(deleteBytes < 4096, s"$t: the undoing delete allocated $deleteBytes bytes")
     }
     assertMatchesStatic(spade, "after the insert/delete rounds")
   }

@@ -60,7 +60,8 @@ object TestUtil {
       while (i < n) {
         val gv = got.vertexAt(got.start + i)
         val fv = fresh.vertexAt(fresh.start + i)
-        assert(gv == fv, s"$clue: sequence diverges at step $i: incremental=u$gv static=u$fv\n" +
+        // `assert`'s clue is built eagerly: build the dump only on failure.
+        if (gv != fv) fail(s"$clue: sequence diverges at step $i: incremental=u$gv static=u$fv\n" +
           s"  inc: ${got.toVertexSeq.mkString(",")}\n  sta: ${fresh.toVertexSeq.mkString(",")}")
         val gw = got.weightAt(got.start + i)
         val fw = fresh.weightAt(fresh.start + i)
