@@ -57,8 +57,9 @@ object TableRunners {
   final case class Table4Row(dataset: String, metric: String, staticSeconds: Double,
                              perBatchMicros: Map[Int, Double], affectedEdgeFraction: Double)
 
-  /** One dataset × one metric: measure the static peel and the incremental
-    * replays at each batch size, over the full increment stream.
+  /** One dataset × one metric: measure the static peel and, at each batch
+    * size, the batch reorders (`insertBatchEdges` alone, no Detect) over the
+    * full increment stream.
     */
   def table4Cell(spark: SparkSession, spec: TxStreamSpec, metric: Suspiciousness,
                  batchSizes: Seq[Int]): Table4Row = {
@@ -75,18 +76,24 @@ object TableRunners {
     }
 
     var singleStats: ReorderStats = ReorderStats.zero
-    var singleEdges = 1
     val perBatch = batchSizes.map { bs =>
-      val detectEvery = math.max(1, 512 / bs)
-      val r = StreamReplay.replayBatched(metric, init, inc, bs, detectEvery)
-      if (bs == 1) { singleStats = r.stats; singleEdges = r.edges }
-      bs -> r.perEdgeMicros
+      val spade = new Spade(metric)
+      spade.loadGraph(init)
+      var nanos = 0L
+      var stats = ReorderStats.zero
+      inc.grouped(bs).foreach { chunk =>
+        val t0 = System.nanoTime()
+        stats = stats.merge(spade.insertBatchEdges(chunk))
+        nanos += System.nanoTime() - t0
+      }
+      if (bs == 1) singleStats = stats
+      bs -> nanos / 1e3 / inc.length
     }.toMap
 
     // affected-area fraction at |ΔE|=1 (the paper's 3.5e-4 .. 2.5e-7 claim):
     // incident-edge visits per insertion over the total edge count
     val frac = singleStats.edgesTouched.toDouble /
-      (singleEdges.toDouble * (init.length + inc.length))
+      (inc.length.toDouble * (init.length + inc.length))
 
     Table4Row(spec.name, metric.name, staticNanos / 1e9, perBatch, frac)
   }
@@ -119,9 +126,14 @@ object TableRunners {
 
   def table5Cell(spark: SparkSession, spec: TxStreamSpec, metric: Suspiciousness): Table5Row = {
     val (init, inc) = BenchDatasets.load(spark, spec)
+    def replay(policy: FlushPolicy) = {
+      val spade = new Spade(metric, policy)
+      spade.loadGraph(init)
+      StreamReplay.replay(spade, inc)
+    }
     val st = StreamReplay.replayStatic(metric, init, inc, oracleGranularity = 200)
-    val b1k = StreamReplay.replayBatched(metric, init, inc, batchSize = 1000)
-    val gr = StreamReplay.replayGrouped(metric, init, inc)
+    val b1k = replay(FlushPolicy.Every(1000))
+    val gr = replay(FlushPolicy.Grouped())
     Table5Row(spec.name, metric.name,
       st.staticRunSeconds, st.preventionRatio,
       b1k.perEdgeMicros, b1k.avgLatencyAll / math.max(1e-12, st.avgLatencyAll), b1k.preventionRatio,

@@ -66,9 +66,6 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
     if (id >= nV) nV = id + 1
   }
 
-  /** True iff `id` was never materialized. */
-  def isNewVertex(id: Int): Boolean = id >= nV
-
   /** Vertex suspiciousness `a_u` (0 for never-weighted vertices). */
   def vertexWeight(u: Int): Double = { checkVertex(u); a(u) }
 
@@ -210,22 +207,5 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
     i = 0
     while (i < ic) { if (active(nn(i))) w += nw(i); i += 1 }
     w
-  }
-
-  /** Deep copy — used by the enumeration extension (Appendix C.2). */
-  def copy(): DynGraph = {
-    val g = new DynGraph(cap)
-    g.nV = nV; g.nE = nE; g.sumA = sumA; g.sumC = sumC
-    System.arraycopy(a, 0, g.a, 0, cap)
-    System.arraycopy(inc, 0, g.inc, 0, cap)
-    System.arraycopy(outCnt, 0, g.outCnt, 0, cap)
-    System.arraycopy(inCnt, 0, g.inCnt, 0, cap)
-    var i = 0
-    while (i < nV) {
-      if (outNbr(i) != null) { g.outNbr(i) = outNbr(i).clone(); g.outW(i) = outW(i).clone() }
-      if (inNbr(i) != null)  { g.inNbr(i) = inNbr(i).clone();  g.inW(i) = inW(i).clone() }
-      i += 1
-    }
-    g
   }
 }

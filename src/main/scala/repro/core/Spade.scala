@@ -31,6 +31,26 @@ object ReorderStats {
   val zero: ReorderStats = ReorderStats(Int.MaxValue, Int.MinValue, 0, 0, 0L, 0)
 }
 
+/** When `Spade.insertGrouped` flushes its buffer of pending edges. The
+  * paper's `IncX-batch` and `IncXG` rows (Tables 4–5) differ only in this.
+  */
+sealed trait FlushPolicy
+
+object FlushPolicy {
+
+  /** Flush once `n` edges are pending (`IncX-batch`). */
+  final case class Every(n: Int) extends FlushPolicy {
+    require(n >= 1, s"flush size must be >= 1, got $n")
+  }
+
+  /** §4.3 edge grouping (`IncXG`): flush on an urgent edge (Definition 4.1)
+    * or once `cap` edges are pending.
+    */
+  final case class Grouped(cap: Int = 1 << 20) extends FlushPolicy {
+    require(cap >= 1, s"flush cap must be >= 1, got $cap")
+  }
+}
+
 /** The Spade framework (Listing 1): incrementally maintains the peeling
   * sequence of an evolving transaction graph under a pluggable
   * suspiciousness metric, so `Detect` never recomputes from scratch.
@@ -39,8 +59,10 @@ object ReorderStats {
   *  - `insertEdge`         — §4.1 single-edge peeling-sequence reordering
   *  - `insertBatchEdges`   — §4.2 Algorithm 2 (batch reordering; black /
   *                           gray / white coloring avoids stale work)
-  *  - `insertGrouped`      — §4.3 edge grouping: benign edges buffer, an
-  *                           urgent edge (Definition 4.1) flushes the buffer
+  *  - `insertGrouped`      — the buffered entry point: edges wait until the
+  *                           `FlushPolicy` flushes them through one batch
+  *                           reorder and `detect` (§4.3 edge grouping by
+  *                           default: an urgent edge flushes the buffer)
   *  - `deleteEdge`         — Appendix C.1: a backward cut, then the same
   *                           merge with both endpoints hoisted to the cut
   *  - `detect`             — densest prefix community (a backward walk
@@ -59,7 +81,7 @@ object ReorderStats {
   *  - updates are validated before anything is mutated, so a malformed edge
   *    rejects its whole batch and leaves the state as it was.
   */
-final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
+final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPolicy.Grouped()) {
 
   /** The evolving graph with materialized suspiciousness weights. */
   val graph = new DynGraph()
@@ -79,7 +101,7 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
   /** The maintained peeling sequence (read-only view for tests/benches). */
   def order: PeelOrder = _order
 
-  /** Number of benign edges currently buffered (grouped mode). */
+  /** Number of edges currently buffered by `insertGrouped`. */
   def pendingCount: Int = pendingTxs.length
 
   /** Community from the most recent detect/flush (no recomputation). */
@@ -247,17 +269,21 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     w0(t.src) + c < cachedDensity && w0(t.dst) + c < cachedDensity
   }
 
-  /** Grouped insertion: benign edges buffer; an urgent edge (or a full
-    * buffer) triggers one batch reorder of everything pending and refreshes
-    * the community. Returns the reorder stats when a flush happened.
+  /** Buffered insertion: `t` joins the buffer, and when the policy says so
+    * the whole buffer goes through one batch reorder and the community is
+    * re-detected (grouping's next urgency test reads that density). Returns
+    * the reorder stats when a flush happened.
     */
   def insertGrouped(t: Tx): Option[ReorderStats] = {
     require(loaded, "call loadGraph before grouped insertion")
     validate(t)
     priorsUpTo(math.max(t.src, t.dst)) // checks the priors of the ids `t` creates
-    val urgent = !isBenign(t)
     pendingTxs += t
-    if (urgent || pendingTxs.length >= flushCap) {
+    val flush = policy match {
+      case FlushPolicy.Every(n)     => pendingTxs.length >= n
+      case FlushPolicy.Grouped(cap) => !isBenign(t) || pendingTxs.length >= cap
+    }
+    if (flush) {
       Some(flushPending())
     } else {
       val c = metric.esusp(t, graph)
@@ -267,7 +293,7 @@ final class Spade(val metric: Suspiciousness, val flushCap: Int = 1 << 20) {
     }
   }
 
-  /** Flush the benign buffer through one batch reorder and re-detect. */
+  /** Flush the buffer through one batch reorder and re-detect. */
   def flushPending(): ReorderStats = {
     if (pendingTxs.isEmpty) return ReorderStats.zero
     val stats = insertBatchEdges(pendingTxs.toSeq)

@@ -3,9 +3,7 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.{StreamingQuery, Trigger}
-import repro.core.{Community, ReorderStats, Spade, Suspiciousness, Tx}
-
-import scala.collection.mutable
+import repro.core.{Community, ReorderStats, Spade, SpotRecord, Suspiciousness, Tx}
 
 /** Structured-Streaming front end for Spade: every micro-batch of
   * transactions is sorted by arrival time and folded into the driver-held
@@ -24,18 +22,31 @@ final class StreamingSpade(metric: Suspiciousness, spotBeta: Double = Spade.Defa
 
   val spade = new Spade(metric)
 
-  /** One entry per processed micro-batch. */
+  /** The outcome of one processed micro-batch. */
   final case class BatchReport(batchId: Long, edges: Int, community: Community,
                                newlySpotted: Array[Int], stats: ReorderStats)
 
-  private val reportsBuf = mutable.ArrayBuffer.empty[BatchReport]
-  private val spotted = mutable.HashSet.empty[Int]
+  // Only the last report and running totals are kept, so memory does not
+  // grow with the number of batches.
+  private val spots = new SpotRecord
+  private var last: Option[BatchReport] = None
+  private var batches = 0L
+  private var edges = 0L
 
-  /** Reports of all micro-batches processed so far (driver-side). */
-  def reports: Seq[BatchReport] = reportsBuf.synchronized { reportsBuf.toVector }
+  /** The report of the most recent micro-batch. */
+  def lastReport: Option[BatchReport] = synchronized(last)
 
-  /** Vertices ever seen in a detected community. */
-  def spottedVertices: Set[Int] = reportsBuf.synchronized { spotted.toSet }
+  /** Micro-batches processed so far. */
+  def batchCount: Long = synchronized(batches)
+
+  /** Edges folded in by micro-batches so far. */
+  def edgeCount: Long = synchronized(edges)
+
+  /** Vertices ever seen in a suspect set. */
+  def spottedVertices: Set[Int] = synchronized(spots.vertices)
+
+  /** The id of the micro-batch whose suspect set first held `v`. */
+  def firstSpottedBatch(v: Int): Option[Long] = synchronized(spots.firstSpotted(v).map(_.toLong))
 
   /** Bulk-load the initial graph before streaming starts. */
   def initialize(initial: Seq[Tx]): Community = spade.loadGraph(initial)
@@ -48,11 +59,12 @@ final class StreamingSpade(metric: Suspiciousness, spotBeta: Double = Spade.Defa
     val stats = spade.insertBatchEdges(ordered.toSeq)
     val community = spade.detect()
     val suspects = spade.detectSuspects(spotBeta)
-    reportsBuf.synchronized {
-      val fresh = suspects.members.filterNot(spotted.contains)
-      fresh.foreach(spotted.add)
+    synchronized {
+      val fresh = spots.spot(suspects.members, batchId.toDouble)
       val rep = BatchReport(batchId, ordered.length, community, fresh, stats)
-      reportsBuf += rep
+      last = Some(rep)
+      batches += 1
+      edges += ordered.length
       rep
     }
   }

@@ -108,17 +108,6 @@ class DynGraphSpec extends AnyFunSuite {
     assert(g.numEdges == 1 && g.totalF == 1.0)
   }
 
-  test("copy is deep: mutating the copy leaves the original intact") {
-    val g = new DynGraph()
-    g.addEdge(0, 1, 1.0); g.setVertexWeight(0, 2.0)
-    val c = g.copy()
-    c.addEdge(1, 2, 5.0)
-    c.setVertexWeight(0, 9.0)
-    assert(g.numEdges == 1 && g.numVertices == 2 && g.vertexWeight(0) == 2.0)
-    assert(c.numEdges == 2 && c.numVertices == 3 && c.vertexWeight(0) == 9.0)
-    assert(g.totalF == 3.0 && c.totalF == 15.0)
-  }
-
   test("property: incidentWeight always equals the adjacency sum plus prior") {
     (1L to 10L).foreach { seed =>
       val rng = new scala.util.Random(seed)

@@ -9,10 +9,10 @@ class EdgeGroupingSpec extends AnyFunSuite {
   /** A graph with one clear dense community {8,9,10} (density 4) and a
     * benign fringe of weight-1 pendant edges.
     */
-  private def fringeAndCore(): Spade = {
+  private def fringeAndCore(policy: FlushPolicy = FlushPolicy.Grouped()): Spade = {
     val core = Seq(Tx(8, 9, 4.0), Tx(9, 10, 4.0), Tx(10, 8, 4.0))
     val fringe = (0 until 8).map(i => Tx(i, (i + 1) % 8, 0.5))
-    loadedSpade(Suspiciousness.DW, fringe ++ core)
+    loadedSpade(Suspiciousness.DW, fringe ++ core, policy)
   }
 
   test("a tiny edge between fringe vertices is benign") {
@@ -105,12 +105,29 @@ class EdgeGroupingSpec extends AnyFunSuite {
   test("the flush cap forces a flush even without an urgent edge") {
     val core = Seq(Tx(8, 9, 4.0), Tx(9, 10, 4.0), Tx(10, 8, 4.0))
     val fringe = (0 until 8).map(i => Tx(i, (i + 1) % 8, 0.5))
-    val spade = new Spade(Suspiciousness.DW, flushCap = 3)
+    val spade = new Spade(Suspiciousness.DW, FlushPolicy.Grouped(cap = 3))
     spade.loadGraph(fringe ++ core)
     assert(spade.insertGrouped(Tx(0, 2, 0.01)).isEmpty)
     assert(spade.insertGrouped(Tx(1, 3, 0.01)).isEmpty)
     assert(spade.insertGrouped(Tx(2, 4, 0.01)).isDefined) // cap reached
     assert(spade.pendingCount == 0)
+  }
+
+  test("Every(3) flushes on the third edge, benign or urgent alike") {
+    val spade = fringeAndCore(FlushPolicy.Every(3))
+    // three benign edges: the third flushes
+    Seq(Tx(0, 2, 0.01), Tx(1, 3, 0.01)).foreach(t => assert(spade.isBenign(t) && spade.insertGrouped(t).isEmpty))
+    assert(spade.insertGrouped(Tx(2, 4, 0.01)).isDefined)
+    assert(spade.pendingCount == 0)
+    // an urgent edge first does not flush early
+    val urgent = Tx(0, 8, 2.0)
+    assert(!spade.isBenign(urgent))
+    assert(spade.insertGrouped(urgent).isEmpty)
+    assert(spade.insertGrouped(Tx(4, 6, 0.01)).isEmpty)
+    assert(spade.pendingCount == 2)
+    assert(spade.insertGrouped(Tx(5, 7, 0.01)).isDefined)
+    assert(spade.pendingCount == 0 && spade.graph.numEdges == 17)
+    assertMatchesStatic(spade, "after Every(3) flushes")
   }
 
   test("stacked benign edges on one vertex eventually become urgent") {

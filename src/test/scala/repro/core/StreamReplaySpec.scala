@@ -21,30 +21,33 @@ class StreamReplaySpec extends AnyFunSuite {
     (initial, increments)
   }
 
+  private def replay(init: Seq[Tx], inc: Seq[Tx], policy: FlushPolicy): StreamReplay.ReplayResult =
+    StreamReplay.replay(loadedSpade(Suspiciousness.DW, init, policy), inc)
+
   test("batched replay counts every edge exactly once") {
     val (init, inc) = streamWithBurst()
-    val r = StreamReplay.replayBatched(Suspiciousness.DW, init, inc, batchSize = 7)
+    val r = replay(init, inc, FlushPolicy.Every(7))
     assert(r.edges == inc.length)
     assert(r.flushes == math.ceil(inc.length / 7.0).toInt)
   }
 
   test("latency is at least the queueing time and positive") {
     val (init, inc) = streamWithBurst()
-    val r = StreamReplay.replayBatched(Suspiciousness.DW, init, inc, batchSize = 10)
+    val r = replay(init, inc, FlushPolicy.Every(10))
     assert(r.avgLatencyAll > 0)
     assert(r.avgLatencyAll >= r.avgQueueing - 1e-12)
   }
 
   test("bigger batches mean more queueing (virtual time)") {
     val (init, inc) = streamWithBurst()
-    val small = StreamReplay.replayBatched(Suspiciousness.DW, init, inc, batchSize = 2)
-    val big = StreamReplay.replayBatched(Suspiciousness.DW, init, inc, batchSize = 30)
+    val small = replay(init, inc, FlushPolicy.Every(2))
+    val big = replay(init, inc, FlushPolicy.Every(30))
     assert(big.avgQueueing > small.avgQueueing)
   }
 
   test("the fraud burst is detected and later burst edges count as prevented") {
     val (init, inc) = streamWithBurst()
-    val r = StreamReplay.replayBatched(Suspiciousness.DW, init, inc, batchSize = 5)
+    val r = replay(init, inc, FlushPolicy.Every(5))
     assert(r.fraudEdges == 30)
     assert(r.preventionRatio > 0.3, s"prevention ${r.preventionRatio}")
     assert(r.spottedVertices > 0)
@@ -52,8 +55,8 @@ class StreamReplaySpec extends AnyFunSuite {
 
   test("grouped replay reacts to the burst at least as fast as batch-1K") {
     val (init, inc) = streamWithBurst()
-    val grouped = StreamReplay.replayGrouped(Suspiciousness.DW, init, inc)
-    val batched = StreamReplay.replayBatched(Suspiciousness.DW, init, inc, batchSize = 1000)
+    val grouped = replay(init, inc, FlushPolicy.Grouped())
+    val batched = replay(init, inc, FlushPolicy.Every(1000))
     assert(grouped.preventionRatio >= batched.preventionRatio - 1e-9,
       s"grouped ${grouped.preventionRatio} vs batched ${batched.preventionRatio}")
     assert(grouped.avgLatencyFraud <= batched.avgLatencyFraud + 1e-9)
@@ -61,7 +64,7 @@ class StreamReplaySpec extends AnyFunSuite {
 
   test("grouped replay flushes at least once per urgent burst and drains fully") {
     val (init, inc) = streamWithBurst()
-    val r = StreamReplay.replayGrouped(Suspiciousness.DW, init, inc)
+    val r = replay(init, inc, FlushPolicy.Grouped())
     assert(r.flushes >= 1)
     assert(r.edges == inc.length)
   }
@@ -80,8 +83,8 @@ class StreamReplaySpec extends AnyFunSuite {
     // (Table 5); here we check the metric is well-defined everywhere.
     val (init, inc) = streamWithBurst()
     val st = StreamReplay.replayStatic(Suspiciousness.DW, init, inc)
-    val gr = StreamReplay.replayGrouped(Suspiciousness.DW, init, inc)
-    val ba = StreamReplay.replayBatched(Suspiciousness.DW, init, inc, batchSize = 1000)
+    val gr = replay(init, inc, FlushPolicy.Grouped())
+    val ba = replay(init, inc, FlushPolicy.Every(1000))
     Seq(st, gr, ba).foreach { r =>
       assert(r.preventionRatio >= 0.0 && r.preventionRatio <= 1.0)
       assert(r.fraudEdges == 30)
@@ -93,14 +96,15 @@ class StreamReplaySpec extends AnyFunSuite {
   test("detectionCapability marks the burst merchant detectable inside the burst") {
     val (init, inc) = streamWithBurst()
     val cap = StreamReplay.detectionCapability(Suspiciousness.DW, init, inc, granularity = 5)
-    assert(cap.contains(55), "burst merchant never detectable")
+    val at = cap.firstSpotted(55)
+    assert(at.isDefined, "burst merchant never detectable")
     val burstTimes = inc.filter(_.isFraud).map(_.ts)
-    assert(cap(55) >= burstTimes.min && cap(55) <= burstTimes.max + 1.0)
+    assert(at.get >= burstTimes.min && at.get <= burstTimes.max + 1.0)
   }
 
   test("maintenance time per edge is far below the static run time") {
     val (init, inc) = streamWithBurst()
-    val incR = StreamReplay.replayBatched(Suspiciousness.DW, init, inc, batchSize = 1)
+    val incR = replay(init, inc, FlushPolicy.Every(1))
     val stR = StreamReplay.replayStatic(Suspiciousness.DW, init, inc)
     assert(incR.perEdgeMicros * 1e-6 < stR.staticRunSeconds * 10,
       "incremental slower than 10 static runs — harness broken")
@@ -108,16 +112,36 @@ class StreamReplaySpec extends AnyFunSuite {
 
   test("empty increments yield a zeroed result") {
     val (init, _) = streamWithBurst()
-    val r = StreamReplay.replayBatched(Suspiciousness.DW, init, Seq.empty, batchSize = 4)
+    val r = replay(init, Seq.empty, FlushPolicy.Every(4))
     assert(r.edges == 0 && r.flushes == 0 && r.preventionRatio == 0.0)
   }
 
   test("replay leaves a state identical to offline batch insertion") {
     val (init, inc) = streamWithBurst()
-    StreamReplay.replayBatched(Suspiciousness.DW, init, inc, batchSize = 9) // result ignored
     val offline = loadedSpade(Suspiciousness.DW, init)
     offline.insertBatchEdges(inc)
-    val replayed = loadedSpade(Suspiciousness.DW, init ++ inc)
-    assert(offline.order.toVertexSeq == replayed.order.toVertexSeq)
+    Seq(FlushPolicy.Every(9), FlushPolicy.Grouped()).foreach { policy =>
+      val replayed = loadedSpade(Suspiciousness.DW, init, policy)
+      StreamReplay.replay(replayed, inc)
+      assert(replayed.pendingCount == 0, s"$policy")
+      assert(replayed.graph.numEdges == offline.graph.numEdges, s"$policy")
+      assert(replayed.order.toVertexSeq == offline.order.toVertexSeq, s"$policy")
+      assertMatchesStatic(replayed, s"after the $policy replay")
+    }
+  }
+
+  test("every policy times the spotting walk and counts it in latency") {
+    val (init, inc) = streamWithBurst()
+    Seq(FlushPolicy.Every(1), FlushPolicy.Every(7), FlushPolicy.Grouped()).foreach { policy =>
+      val r = replay(init, inc, policy)
+      assert(r.flushes > 0 && r.detectNanos > 0, s"$policy: ${r.flushes} flushes, detect ${r.detectNanos} ns")
+      // an edge waits at least its flush's maintenance and detect time
+      val busy = (r.maintenanceNanos + r.detectNanos) / 1e9
+      assert(r.avgLatencyAll * r.edges >= busy - 1e-9, s"$policy: latency misses processing time")
+      if (policy == FlushPolicy.Every(1)) {
+        // one edge per flush: latency is exactly queueing plus processing
+        assert(math.abs(r.avgLatencyAll * r.edges - r.avgQueueing * r.edges - busy) < 1e-9)
+      }
+    }
   }
 }

@@ -30,8 +30,9 @@ object TestUtil {
   val paperInsertion: Tx = Tx(0, 4, 4.0) // (u1, u5) weight 4
 
   /** Build a Spade over `txs` with `metric`, fully loaded. */
-  def loadedSpade(metric: Suspiciousness, txs: Seq[Tx]): Spade = {
-    val s = new Spade(metric)
+  def loadedSpade(metric: Suspiciousness, txs: Seq[Tx],
+                  policy: FlushPolicy = FlushPolicy.Grouped()): Spade = {
+    val s = new Spade(metric, policy)
     s.loadGraph(txs)
     s
   }

@@ -55,22 +55,26 @@ class StreamingSpadeSpec extends SparkSpec {
     val (init, inc) = streamData()
     val chunks = inc.grouped(30).toSeq
     val pipeline = runStream(init, chunks)
-    val reports = pipeline.reports
-    assert(reports.nonEmpty)
-    assert(reports.map(_.edges).sum == inc.length)
-    assert(reports.map(_.batchId).distinct.length == reports.length)
-    assert(reports.forall(_.community.density > 0))
+    assert(pipeline.edgeCount == inc.length)
+    assert(pipeline.batchCount == chunks.length) // one report per batch
+    val last = pipeline.lastReport
+    assert(last.isDefined && last.get.batchId == chunks.length - 1)
+    assert(last.get.edges == chunks.last.length)
+    assert(last.get.community.density > 0)
   }
 
   test("the planted increment block is spotted while streaming") {
     val (init, inc) = streamData()
     val blockVertices = inc.filter(_.fraudId >= 0).flatMap(t => Seq(t.src, t.dst)).toSet
-    val pipeline = runStream(init, inc.grouped(25).toSeq)
+    val chunks = inc.grouped(25).toSeq
+    val pipeline = runStream(init, chunks)
     assert(pipeline.spottedVertices.intersect(blockVertices).nonEmpty,
       s"block $blockVertices never spotted")
-    // the batch that first saw the block reports its members as newly spotted
-    val firstSpot = pipeline.reports.find(_.newlySpotted.exists(blockVertices.contains))
-    assert(firstSpot.isDefined)
+    // the block is first spotted by a batch holding block edges, not before
+    val firstSpot = blockVertices.flatMap(pipeline.firstSpottedBatch).min
+    val firstBlockBatch = chunks.indexWhere(_.exists(_.fraudId >= 0))
+    assert(firstSpot >= firstBlockBatch, s"spotted in batch $firstSpot, block arrives in $firstBlockBatch")
+    assert(chunks(firstSpot.toInt).exists(_.fraudId >= 0), s"batch $firstSpot holds no block edge")
   }
 
   test("chunk boundaries do not change the final state (exactly-once folding)") {
