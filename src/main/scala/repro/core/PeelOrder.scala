@@ -13,191 +13,175 @@ final case class Community(density: Double, members: Array[Int]) {
 }
 
 /** The peeling sequence `O` plus per-step peel weights `Δ` (the `_seq` /
-  * `_weight` vectors of Listing 1), stored with *head room* so that new
-  * vertices can be prepended in O(1) (§4.1 "vertex insertion": a fresh vertex
-  * goes to the head of the sequence).
+  * `_weight` vectors of Listing 1), kept as an unrolled list of blocks of at
+  * most 256 entries (`BlockBits`), so that a merge edits the blocks it must
+  * and steps over the rest (an order-maintenance list: Bender et al.,
+  * "Two simplified algorithms for maintaining order in a list", ESA 2002).
   *
-  * Entries live in `seq(start until end)`; `posOf(v)` is the **absolute**
-  * array index of `v`, so positions stay valid when `start` moves left.
-  * Incremental reordering rewrites only the affected window `[a, b)` of the
-  * arrays — the whole point of the paper is that this window is tiny.
-  *
-  * `Detect` walks back from the tail and stops as soon as no longer suffix
-  * can qualify. The stop test reads a block-max index: the max `Δ` of each
-  * block of 256 absolute indices and its running max over blocks. Writes
-  * only flag their blocks dirty; the next walk re-scans the flagged blocks
-  * (or the next merge does, since the merge kernel reads the block maxima
-  * to move white runs a block at a time).
+  *  - Block `b`'s entries live in one pooled slab at `(b << BlockBits) + slot`;
+  *    a vertex's location is that packed `(block, slot)` `Int`. Freed blocks
+  *    go to a free list and are reused.
+  *  - The blocks are linked in order and carry strictly increasing `Long`
+  *    labels, so "is `x` at or after the frontier" compares `(label, slot)`
+  *    in O(1) (`keyOf`) while the merge moves blocks around.
+  *  - Every block keeps its exact max `Δ`, and a running max over blocks
+  *    serves `Detect`'s stop test and the deletion cut. It is redone
+  *    lazily, from the first changed block through the last one and on
+  *    until it comes out unchanged.
+  *  - Every block keeps the dense index of its first entry, so the public
+  *    dense-index API (`start`, `end`, `posOf`, `vertexAt`, ...) keeps its
+  *    meaning; an update writes the base of each block it touches or steps
+  *    over. `vertexAt` finds its block by a binary search over the blocks in
+  *    order (rebuilt lazily after a structural change) or by the block it
+  *    found last.
+  *  - Every pair of adjacent blocks holds more than 256 entries (merges of
+  *    small neighbours restore it after each update), so there are at most
+  *    `2·⌈|V|/256⌉ + 1` blocks.
   */
-final class PeelOrder private (
-    private var seqArr: Array[Int],
-    private var wtArr: Array[Double],
-    private var posArr: Array[Int],
-    private var startIdx: Int,
-    private var endIdx: Int,
-) {
+final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
   import PeelOrder._
 
-  // blockMax(b): max Δ over block b ∩ [start, end); prefixMax(b): max of
-  // blockMax(0..b). A write flags its block dirty; the dirty blocks lie in
-  // [dirtyLo, dirtyHi). blockMax is valid for every block not flagged,
-  // prefixMax for the blocks before the first flagged one.
-  private var blockMax = new Array[Double](blocksFor(wtArr.length))
-  private var prefixMax = new Array[Double](blockMax.length)
-  private var dirty = Array.fill(blockMax.length)(true)
-  private var dirtyLo = 0
-  private var dirtyHi = wtArr.length
-  private var walked = 0
+  // ---- the block pool; ids index these arrays ----
+  private var seqArr = new Array[Int](capacityBlocks << BlockBits)
+  private var wtArr  = new Array[Double](capacityBlocks << BlockBits)
+  private var bSize  = new Array[Int](capacityBlocks)
+  private var bNext  = new Array[Int](capacityBlocks)
+  private var bPrev  = new Array[Int](capacityBlocks)
+  private var bLabel = new Array[Long](capacityBlocks)
+  private var bBase  = new Array[Int](capacityBlocks)   // dense index of slot 0
+  private var bMax   = new Array[Double](capacityBlocks) // exact max Δ of the block
+  private var bRun   = new Array[Double](capacityBlocks) // max Δ from the head through the block
+  private var freeIds = new Array[Int](capacityBlocks)
+  private var nFree = 0
+  private var nAlloc = 0 // ids below this have been handed out (linked or free)
 
-  /** First (inclusive) absolute index of the sequence. */
+  private var headB = -1
+  private var tailB = -1
+  private var nBlocks = 0
+  private var startIdx = 0
+  private var endIdx = 0
+
+  private var loc: Array[Int] = Array.fill(math.max(1, maxVertexId + 1))(-1)
+
+  // bRun is exact for every block before `runFrom` (all of them when -1).
+  // Blocks with labels in [label(runFrom), runTo] changed since; past them
+  // bRun changes only where a predecessor's did.
+  private var runFrom = -1
+  private var runTo = Long.MinValue
+  // The linked blocks in order, valid while `orderedOk`.
+  private var ordered = new Array[Int](capacityBlocks)
+  private var orderedOk = false
+  private var cursor = -1 // the block `locAt` found last, -1 after a structural change
+
+  private var walked = 0
+  private var walkBest = 0.0
+  private var walkBestLen = 0
+  private var walkCutLen = 0
+  private var dropEnd = 0
+
+  /** Entries written into blocks so far (for tests of the merge's cost). */
+  private[core] var writes = 0L
+
+  /** First (inclusive) dense index of the sequence. */
   def start: Int = startIdx
 
-  /** One past the last absolute index of the sequence. */
+  /** One past the last dense index of the sequence. */
   def end: Int = endIdx
 
   /** Number of vertices in the order. */
   def length: Int = endIdx - startIdx
 
-  /** Vertex peeled at absolute index `p`. */
-  def vertexAt(p: Int): Int = { checkIdx(p); seqArr(p) }
+  /** Vertex peeled at dense index `p`. */
+  def vertexAt(p: Int): Int = seqArr(locAt(p))
 
-  /** Peel-time weight `Δ` of the vertex at absolute index `p`. */
-  def weightAt(p: Int): Double = { checkIdx(p); wtArr(p) }
+  /** Peel-time weight `Δ` of the vertex at dense index `p`. */
+  def weightAt(p: Int): Double = wtArr(locAt(p))
 
-  /** Absolute index of vertex `v` in the order. */
-  def posOf(v: Int): Int = posArr(v)
+  /** Dense index of vertex `v` in the order, -1 if it is not in it. */
+  def posOf(v: Int): Int = {
+    val l = loc(v)
+    if (l < 0) -1 else bBase(l >>> BlockBits) + (l & BlockMask)
+  }
 
   /** True iff vertex `v` is part of the order. */
-  def containsVertex(v: Int): Boolean = v >= 0 && v < posArr.length && posArr(v) >= 0
+  def containsVertex(v: Int): Boolean = v >= 0 && v < loc.length && loc(v) >= 0
 
-  /** Entries the last `detect` / `detectThreshold` walk visited, tail first. */
+  /** Entries the last `detect` / `detectThreshold` / `density` walk visited, tail first. */
   def lastWalkLength: Int = walked
 
-  @inline private def checkIdx(p: Int): Unit =
-    // `require` without its per-call message closure: see `IndexedMinHeap.requirePresent`.
-    if (p < startIdx || p >= endIdx)
-      throw new IllegalArgumentException(s"requirement failed: index $p outside [$startIdx, $endIdx)")
-
-  @inline private def markDirty(p: Int): Unit = {
-    dirty(p >> BlockBits) = true
-    if (p < dirtyLo) dirtyLo = p
-    if (p >= dirtyHi) dirtyHi = p + 1
-  }
-
-  // ---- raw access for the merge kernel ----
-  // No range checks: the kernel writes only inside the window it read, and
-  // marks the window dirty once, when it closes it (`markDirty(lo, hi)`).
-
-  /** Write `v` with weight `w` at absolute index `p`, without marking dirty. */
-  @inline private[core] def put(p: Int, v: Int, w: Double): Unit = {
-    seqArr(p) = v
-    wtArr(p) = w
-    posArr(v) = p
-  }
-
-  /** Shift the `len` entries at `from` to `to <= from` (two `arraycopy`
-    * calls and one `posOf` loop), without marking dirty.
-    */
-  private[core] def moveLeft(from: Int, to: Int, len: Int): Unit =
-    if (to != from) {
-      System.arraycopy(seqArr, from, seqArr, to, len)
-      System.arraycopy(wtArr, from, wtArr, to, len)
-      reindex(to, to + len)
-    }
-
-  /** Copy `vs(0 until len)` / `ws(0 until len)` to absolute index `p`,
-    * without marking dirty.
-    */
-  private[core] def putAll(p: Int, vs: Array[Int], ws: Array[Double], len: Int): Unit = {
-    System.arraycopy(vs, 0, seqArr, p, len)
-    System.arraycopy(ws, 0, wtArr, p, len)
-    reindex(p, p + len)
-  }
-
-  private def reindex(lo: Int, hi: Int): Unit = {
-    var p = lo
-    while (p < hi) { posArr(seqArr(p)) = p; p += 1 }
-  }
-
-  /** Mark `[lo, hi)` rewritten: the next walk re-scans its blocks. */
-  private[core] def markDirty(lo: Int, hi: Int): Unit =
-    if (lo < hi) {
-      java.util.Arrays.fill(dirty, lo >> BlockBits, ((hi - 1) >> BlockBits) + 1, true)
-      if (lo < dirtyLo) dirtyLo = lo
-      if (hi > dirtyHi) dirtyHi = hi
-    }
-
-  /** Number of blocks of the index (every absolute index has one). */
-  private[core] def blockCount: Int = blockMax.length
-
-  /** Max `Δ` over block `b ∩ [start, end)`. Exact for a block the last
-    * `refreshBlocks` left clean and nothing has written since.
-    */
-  @inline private[core] def blockMaxAt(b: Int): Double = blockMax(b)
-
-  /** Overwrite the entry at absolute index `p`. */
+  /** Overwrite the entry at dense index `p`. */
   def set(p: Int, v: Int, w: Double): Unit = {
-    checkIdx(p)
-    seqArr(p) = v
-    wtArr(p) = w
-    posArr(v) = p
-    markDirty(p)
+    val l = locAt(p)
+    val b = l >>> BlockBits
+    val old = wtArr(l)
+    seqArr(l) = v
+    wtArr(l) = w
+    loc(v) = l
+    if (w > bMax(b)) bMax(b) = w
+    else if (old == bMax(b) && w < old) bMax(b) = maxOfRange(b, 0, bSize(b))
+    touch(b)
   }
-
-  /** Take `v` out of the order until `set` writes it back: `posOf(v)` reads
-    * -1 meanwhile. The reorder uses it for a vertex emitted before the scan
-    * reaches its slot, so every position test sees it as already peeled.
-    */
-  private[core] def vacate(v: Int): Unit = posArr(v) = -1
 
   /** Grow the vertex-id space of `posOf` (new ids map to -1). */
-  def ensureVertex(id: Int): Unit = {
-    if (id >= posArr.length) {
-      val newCap = math.max(posArr.length * 2, id + 1)
-      val np = new Array[Int](newCap)
+  def ensureVertex(id: Int): Unit =
+    if (id >= loc.length) {
+      val np = new Array[Int](math.max(loc.length * 2, id + 1))
       java.util.Arrays.fill(np, -1)
-      System.arraycopy(posArr, 0, np, 0, posArr.length)
-      posArr = np
+      System.arraycopy(loc, 0, np, 0, loc.length)
+      loc = np
     }
-  }
 
   /** Prepend a brand-new vertex at the head of the order with weight `w`
-    * (its `vsusp`). Amortized O(1); reallocates with fresh head room when the
-    * head is full.
+    * (its `vsusp`). It goes into the head block (shifting at most 255
+    * entries) or, when that is full, into a new head block.
     */
   def prepend(v: Int, w: Double): Unit = {
     ensureVertex(v)
-    require(posArr(v) < 0, s"vertex $v already in the order")
-    if (startIdx == 0) {
-      val room = math.max(1024, (endIdx - startIdx) / 2 + 1)
-      val newLen = room + seqArr.length
-      val ns = new Array[Int](newLen)
-      val nw = new Array[Double](newLen)
-      System.arraycopy(seqArr, 0, ns, room, endIdx)
-      System.arraycopy(wtArr, 0, nw, room, endIdx)
-      seqArr = ns; wtArr = nw
-      var p = room
-      while (p < room + endIdx) { posArr(ns(p)) = p; p += 1 }
-      startIdx += room; endIdx += room
-      blockMax = new Array[Double](blocksFor(newLen))
-      prefixMax = new Array[Double](blockMax.length)
-      dirty = Array.fill(blockMax.length)(true)
-      dirtyLo = 0; dirtyHi = newLen
-    }
+    require(loc(v) < 0, s"vertex $v already in the order")
+    val b =
+      if (headB >= 0 && bSize(headB) < BlockSize) {
+        val h = headB
+        val off = h << BlockBits
+        val n = bSize(h)
+        System.arraycopy(seqArr, off, seqArr, off + 1, n)
+        System.arraycopy(wtArr, off, wtArr, off + 1, n)
+        var s = 1
+        while (s <= n) { loc(seqArr(off + s)) = off + s; s += 1 }
+        writes += n
+        bSize(h) = n + 1
+        h
+      } else {
+        val h = open(headB, 0)
+        bSize(h) = 1
+        bMax(h) = Double.NegativeInfinity
+        h
+      }
     startIdx -= 1
-    seqArr(startIdx) = v
-    wtArr(startIdx) = w
-    posArr(v) = startIdx
-    markDirty(startIdx)
+    bBase(b) = startIdx
+    put(b << BlockBits, v, w)
+    if (w > bMax(b)) bMax(b) = w
+    touch(b)
   }
 
   /** The peeling order as vertices, head first. */
-  def toVertexSeq: IndexedSeq[Int] =
-    (startIdx until endIdx).map(seqArr)
+  def toVertexSeq: IndexedSeq[Int] = {
+    val out = Vector.newBuilder[Int]
+    var b = headB
+    while (b >= 0) { var s = 0; while (s < bSize(b)) { out += seqArr((b << BlockBits) + s); s += 1 }; b = bNext(b) }
+    out.result()
+  }
 
   /** The peel weights, aligned with `toVertexSeq`. */
-  def toWeightSeq: IndexedSeq[Double] =
-    (startIdx until endIdx).map(wtArr)
+  def toWeightSeq: IndexedSeq[Double] = {
+    val out = Vector.newBuilder[Double]
+    var b = headB
+    while (b >= 0) { var s = 0; while (s < bSize(b)) { out += wtArr((b << BlockBits) + s); s += 1 }; b = bNext(b) }
+    out.result()
+  }
+
+  // ------------------------------------------------------------------
+  // Detect
+  // ------------------------------------------------------------------
 
   /** `Detect()` of Listing 1: the argmax-density prefix-set.
     *
@@ -208,8 +192,16 @@ final class PeelOrder private (
     * Fig. 14). The walk stops at the community (see `walk`).
     */
   def detect(): Community = {
-    val w = walk(1.0)
-    community(w.best, w.bestIdx)
+    walk(1.0)
+    community(walkBestLen)
+  }
+
+  /** The density of `detect`'s community, from the same walk, without
+    * copying its members.
+    */
+  def density(): Double = {
+    walk(1.0)
+    if (walkBestLen == 0) 0.0 else walkBest
   }
 
   /** Fig.-14 semantics for *spotting*: the largest suffix-set whose density
@@ -220,124 +212,429 @@ final class PeelOrder private (
     */
   def detectThreshold(beta: Double): Community = {
     require(beta > 0 && beta <= 1, s"beta must be in (0, 1], got $beta")
-    val w = walk(beta)
-    community(w.best, w.cutIdx)
+    walk(beta)
+    community(walkCutLen)
   }
 
-  private def community(best: Double, idx: Int): Community =
-    Community(if (idx == endIdx) 0.0 else best, java.util.Arrays.copyOfRange(seqArr, idx, endIdx))
+  private def community(len: Int): Community = {
+    val members = new Array[Int](len)
+    var i = len
+    var b = tailB
+    while (i > 0) {
+      val take = math.min(bSize(b), i)
+      System.arraycopy(seqArr, (b << BlockBits) + bSize(b) - take, members, i - take, take)
+      i -= take
+      b = bPrev(b)
+    }
+    Community(if (len == 0) 0.0 else walkBest, members)
+  }
 
-  /** The one backward walk behind both detectors. It tracks the argmax
+  /** The one backward walk behind the detectors. It tracks the argmax
     * suffix (ties to the larger set) and the longest suffix reaching
     * `cut = beta · best · (1 - CutTolerance)`. `best` only grows, so every
     * suffix longer than the final argmax is tested against the final `cut`;
     * shorter ones cannot be the answer, since the argmax itself qualifies.
     *
     * Stop rule, exact by the mediant inequality
-    * `(a+b)/(m+k) ≤ max(a/m, b/k)`: at a block boundary `p`, if the current
-    * suffix density is below `cut` and every `Δ` in `[start, p)` is below
-    * `cut` too, every longer suffix is below `cut ≤ best`, so neither answer
-    * can change. The `Slack` margin keeps that true for the float-rounded
-    * densities of the suffixes the walk skips (it covers summation rounding
-    * up to ~10^6 entries). Cost: O(|answer| + 256) once the community
-    * stands out, O(length) when it does not.
+    * `(a+b)/(m+k) ≤ max(a/m, b/k)`: at the start of a block, if the current
+    * suffix density is below `cut` and every `Δ` before the block is below
+    * `cut` too (the running max of the previous block), every longer suffix
+    * is below `cut ≤ best`, so neither answer can change. The `Slack`
+    * margin keeps that true for the float-rounded densities of the suffixes
+    * the walk skips (it covers summation rounding up to ~10^6 entries).
+    * Cost: O(|answer| + 256) once the community stands out, O(length) when
+    * it does not.
     */
-  private def walk(beta: Double): Walk = {
-    refreshBlocks()
+  private def walk(beta: Double): Unit = {
+    refreshRun()
     var suffix = 0.0
     var best = Double.NegativeInfinity
     var cut = Double.NegativeInfinity
-    var bestIdx = endIdx
-    var cutIdx = endIdx
+    var bestLen = 0
+    var cutLen = 0
+    var len = 0
     var stop = false
-    var p = endIdx
-    while (p > startIdx && !stop) {
-      p -= 1
-      suffix += wtArr(p)
-      val dens = suffix / (endIdx - p)
-      if (dens >= best) {
-        best = dens; bestIdx = p; cutIdx = p
-        cut = beta * best * (1 - CutTolerance)
-      } else if (dens >= cut) cutIdx = p
-      if ((p & BlockMask) == 0 && p > startIdx)
-        stop = dens < cut && prefixMax((p >> BlockBits) - 1) < cut * (1 - Slack)
+    var b = tailB
+    while (b >= 0 && !stop) {
+      val off = b << BlockBits
+      var s = bSize(b) - 1
+      var dens = 0.0
+      while (s >= 0) {
+        suffix += wtArr(off + s)
+        len += 1
+        dens = suffix / len
+        if (dens >= best) {
+          best = dens; bestLen = len; cutLen = len
+          cut = beta * best * (1 - CutTolerance)
+        } else if (dens >= cut) cutLen = len
+        s -= 1
+      }
+      val p = bPrev(b)
+      if (p >= 0) stop = dens < cut && bRun(p) < cut * (1 - Slack)
+      b = p
     }
-    walked = endIdx - p
-    Walk(best, bestIdx, cutIdx)
+    walked = len
+    walkBest = best
+    walkBestLen = bestLen
+    walkCutLen = cutLen
   }
 
-  /** Re-scan the dirty blocks, then redo the running max from the first.
-    * Afterwards every block max is exact. The blocks between two windows
-    * of one merge were not written and are not re-scanned.
+  /** Dense index of the first entry in `[start, upTo]` whose `Δ` is at
+    * least `b`, or `upTo` when there is none: a binary search over the
+    * running max of the blocks in order, then one block.
     */
-  private[core] def refreshBlocks(): Unit = if (dirtyLo < dirtyHi) {
-    val b0 = dirtyLo >> BlockBits
-    val b1 = (dirtyHi - 1) >> BlockBits
-    var b = b0
-    while (b <= b1) {
-      if (dirty(b)) {
-        var m = Double.NegativeInfinity
-        var p = math.max(b << BlockBits, startIdx)
-        val until = math.min((b + 1) << BlockBits, endIdx)
-        while (p < until) { if (wtArr(p) > m) m = wtArr(p); p += 1 }
-        blockMax(b) = m
-        dirty(b) = false
-      }
-      b += 1
+  private[core] def firstAtLeast(b: Double, upTo: Int): Int = {
+    refreshRun()
+    ensureOrdered()
+    var lo = 0
+    var hi = nBlocks
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (bRun(ordered(mid)) >= b) hi = mid else lo = mid + 1
     }
-    var run = if (b0 == 0) Double.NegativeInfinity else prefixMax(b0 - 1)
-    b = b0
-    while (b < blockMax.length) {
-      if (blockMax(b) > run) run = blockMax(b)
-      prefixMax(b) = run
-      b += 1
+    if (lo == nBlocks) upTo
+    else {
+      // bRun rises to >= b at this block, so its own max is >= b.
+      val blk = ordered(lo)
+      val off = blk << BlockBits
+      var s = 0
+      while (wtArr(off + s) < b) s += 1
+      math.min(bBase(blk) + s, upTo)
     }
-    dirtyLo = Int.MaxValue; dirtyHi = Int.MinValue
   }
+
+  /** Redo the running max from `runFrom` through the changed blocks, and
+    * on until it comes out as it was: every later block then keeps its.
+    */
+  private def refreshRun(): Unit =
+    if (runFrom >= 0) {
+      var b = runFrom
+      val p = bPrev(b)
+      var run = if (p < 0) Double.NegativeInfinity else bRun(p)
+      while (b >= 0) {
+        if (bMax(b) > run) run = bMax(b)
+        if (bLabel(b) > runTo && bRun(b) == run) b = -1
+        else {
+          bRun(b) = run
+          b = bNext(b)
+        }
+      }
+      runFrom = -1
+      runTo = Long.MinValue
+    }
+
+  /** Block `b`'s max, or its place in the list, changed: the running max
+    * is stale from `b` on, through `b` at least.
+    */
+  private[core] def touch(b: Int): Unit = {
+    if (runFrom < 0 || bLabel(b) < bLabel(runFrom)) runFrom = b
+    if (bLabel(b) > runTo) runTo = bLabel(b)
+  }
+
+  // ------------------------------------------------------------------
+  // Dense index
+  // ------------------------------------------------------------------
+
+  /** The packed `(block, slot)` location of dense index `p`. */
+  private[core] def locAt(p: Int): Int = {
+    // `require` without its per-call message closure: see `IndexedMinHeap.requirePresent`.
+    if (p < startIdx || p >= endIdx)
+      throw new IllegalArgumentException(s"requirement failed: index $p outside [$startIdx, $endIdx)")
+    var b = cursor
+    if (b < 0 || p < bBase(b) || p - bBase(b) >= bSize(b)) {
+      b = if (b >= 0) bNext(b) else -1
+      if (b < 0 || p < bBase(b) || p - bBase(b) >= bSize(b)) {
+        ensureOrdered()
+        var lo = 0
+        var hi = nBlocks - 1
+        while (lo < hi) { // the last block whose base is <= p
+          val mid = (lo + hi + 1) >>> 1
+          if (bBase(ordered(mid)) <= p) lo = mid else hi = mid - 1
+        }
+        b = ordered(lo)
+      }
+      cursor = b
+    }
+    (b << BlockBits) | (p - bBase(b))
+  }
+
+  private def ensureOrdered(): Unit =
+    if (!orderedOk) {
+      if (ordered.length < nBlocks) ordered = new Array[Int](bSize.length)
+      var i = 0
+      var b = headB
+      while (b >= 0) { ordered(i) = b; i += 1; b = bNext(b) }
+      orderedOk = true
+    }
+
+  // ------------------------------------------------------------------
+  // Block access for the merge kernel (no range checks)
+  // ------------------------------------------------------------------
+
+  private[core] def headBlock: Int = headB
+  private[core] def nextBlock(b: Int): Int = bNext(b)
+  private[core] def prevBlock(b: Int): Int = bPrev(b)
+  private[core] def sizeOf(b: Int): Int = bSize(b)
+  private[core] def maxOf(b: Int): Double = bMax(b)
+  private[core] def baseOf(b: Int): Int = bBase(b)
+  private[core] def setBase(b: Int, base: Int): Unit = bBase(b) = base
+
+  /** Max `Δ` of slots `[from, until)` of block `b`. */
+  private[core] def maxOfRange(b: Int, from: Int, until: Int): Double = {
+    val off = b << BlockBits
+    var m = Double.NegativeInfinity
+    var s = from
+    while (s < until) { if (wtArr(off + s) > m) m = wtArr(off + s); s += 1 }
+    m
+  }
+
+  /** Block ids are below this. */
+  private[core] def blockCapacity: Int = bSize.length
+
+  /** Packed `(block, slot)` location of vertex `v`, -1 if it has none. */
+  @inline private[core] def locOf(v: Int): Int = loc(v)
+  @inline private[core] def vAt(l: Int): Int = seqArr(l)
+  @inline private[core] def wAt(l: Int): Double = wtArr(l)
+
+  /** Order key of location `l`: `(label, slot)` packed in a `Long`. */
+  @inline private[core] def keyOfLoc(l: Int): Long = (bLabel(l >>> BlockBits) << BlockBits) | (l & BlockMask)
+
+  /** Order key of vertex `v`'s location. */
+  @inline private[core] def keyOf(v: Int): Long = keyOfLoc(loc(v))
+
+  /** Order key of slot `s` of block `b`; past the tail when `b < 0`. */
+  @inline private[core] def keyAt(b: Int, s: Int): Long =
+    if (b < 0) Long.MaxValue else (bLabel(b) << BlockBits) | s
+
+  /** Write `v` with weight `w` at location `l`. */
+  @inline private[core] def put(l: Int, v: Int, w: Double): Unit = {
+    seqArr(l) = v
+    wtArr(l) = w
+    loc(v) = l
+    writes += 1
+  }
+
+  /** Copy the `len` entries at location `from` to location `to` (another
+    * block), updating their locations; returns their max `Δ`.
+    */
+  private[core] def copyRun(from: Int, to: Int, len: Int): Double = {
+    System.arraycopy(seqArr, from, seqArr, to, len)
+    System.arraycopy(wtArr, from, wtArr, to, len)
+    var m = Double.NegativeInfinity
+    var i = 0
+    while (i < len) {
+      loc(seqArr(to + i)) = to + i
+      if (wtArr(to + i) > m) m = wtArr(to + i)
+      i += 1
+    }
+    writes += len
+    m
+  }
+
+  /** A new empty block, linked before block `before` (at the tail when
+    * `before < 0`), whose first entry will have dense index `base`.
+    */
+  private[core] def open(before: Int, base: Int): Int = {
+    val b = alloc()
+    val p = if (before < 0) tailB else bPrev(before)
+    bLabel(b) =
+      if (p < 0 && before < 0) FirstLabel
+      else if (before < 0) bLabel(p) + Gap
+      else if (p < 0) bLabel(before) - Gap
+      else (bLabel(p) + bLabel(before)) >>> 1
+    bPrev(b) = p
+    bNext(b) = before
+    if (p < 0) headB = b else bNext(p) = b
+    if (before < 0) tailB = b else bPrev(before) = b
+    nBlocks += 1
+    structureChanged()
+    val l = bLabel(b)
+    if (l <= (if (p < 0) 0L else bLabel(p)) || (before >= 0 && l >= bLabel(before)) || l > MaxLabel) relabel()
+    bSize(b) = 0
+    bMax(b) = Double.NegativeInfinity
+    bBase(b) = base
+    b
+  }
+
+  /** Close block `b` with `size` entries whose max is `max`. */
+  private[core] def seal(b: Int, size: Int, max: Double): Unit = {
+    bSize(b) = size
+    bMax(b) = max
+  }
+
+  /** Unlink block `b` and return it to the pool. */
+  private[core] def release(b: Int): Unit = {
+    val p = bPrev(b)
+    val n = bNext(b)
+    if (p < 0) headB = n else bNext(p) = n
+    if (n < 0) tailB = p else bPrev(n) = p
+    nBlocks -= 1
+    structureChanged()
+    freeIds(nFree) = b
+    nFree += 1
+    if (runFrom == b) runFrom = -1
+    if (n >= 0) touch(n)
+  }
+
+  /** Keep, of block `b`'s entries `[from, size)`, those whose vertex is
+    * still located there, moved to the front of the block, which then
+    * starts at dense index `base`. Returns how many were dropped; `dropEnd`
+    * is one past the last dropped one, counted from `from`.
+    */
+  private[core] def compact(b: Int, from: Int, base: Int): Int = {
+    val off = b << BlockBits
+    val n = bSize(b)
+    var w = 0
+    var m = Double.NegativeInfinity
+    var dropped = 0
+    dropEnd = 0
+    var s = from
+    while (s < n) {
+      val v = seqArr(off + s)
+      if (loc(v) == off + s) {
+        if (w != s) put(off + w, v, wtArr(off + s))
+        if (wtArr(off + w) > m) m = wtArr(off + w)
+        w += 1
+      } else {
+        dropped += 1
+        dropEnd = s - from + 1
+      }
+      s += 1
+    }
+    bSize(b) = w
+    bMax(b) = m
+    bBase(b) = base
+    touch(b)
+    dropped
+  }
+
+  /** See `compact`. */
+  private[core] def lastDropEnd: Int = dropEnd
+
+  /** Merge every adjacent pair of blocks holding at most 256 entries
+    * together, from block `from` (the head when -1) through the pair after
+    * block `until` (the tail when -1): the right block's entries move to
+    * the end of the left one.
+    */
+  private[core] def mergeSmall(from: Int, until: Int): Unit = {
+    var a = if (from >= 0) from else headB
+    var last = until
+    while (a >= 0) {
+      val nx = bNext(a)
+      if (nx < 0) a = -1
+      else if (bSize(a) + bSize(nx) <= BlockSize) {
+        val m = copyRun(nx << BlockBits, (a << BlockBits) + bSize(a), bSize(nx))
+        bSize(a) += bSize(nx)
+        if (m > bMax(a)) bMax(a) = m
+        release(nx)
+        touch(a)
+        if (nx == last) last = a
+      } else if (a == last) a = -1
+      else a = nx
+    }
+    if (last >= 0) touch(last) else if (tailB >= 0) touch(tailB)
+  }
+
+  private def alloc(): Int =
+    if (nFree > 0) { nFree -= 1; freeIds(nFree) }
+    else {
+      if (nAlloc == bSize.length) grow()
+      nAlloc += 1
+      nAlloc - 1
+    }
+
+  private def grow(): Unit = {
+    val cap = bSize.length + (bSize.length >> 1) + 4
+    seqArr = java.util.Arrays.copyOf(seqArr, cap << BlockBits)
+    wtArr = java.util.Arrays.copyOf(wtArr, cap << BlockBits)
+    bSize = java.util.Arrays.copyOf(bSize, cap)
+    bNext = java.util.Arrays.copyOf(bNext, cap)
+    bPrev = java.util.Arrays.copyOf(bPrev, cap)
+    bLabel = java.util.Arrays.copyOf(bLabel, cap)
+    bBase = java.util.Arrays.copyOf(bBase, cap)
+    bMax = java.util.Arrays.copyOf(bMax, cap)
+    bRun = java.util.Arrays.copyOf(bRun, cap)
+    freeIds = java.util.Arrays.copyOf(freeIds, cap)
+  }
+
+  private def structureChanged(): Unit = {
+    orderedOk = false
+    cursor = -1
+  }
+
+  /** Spread the labels evenly again (order unchanged). */
+  private def relabel(): Unit = {
+    var l = FirstLabel
+    var b = headB
+    while (b >= 0) { bLabel(b) = l; l += Gap; b = bNext(b) }
+    if (runFrom >= 0) runTo = Long.MaxValue
+  }
+
 
   /** Check the order's own invariants, throwing `IllegalStateException` at
     * the first one broken:
-    *  - `posOf` and `seq` are inverse over `[start, end)`, and every id
-    *    outside the order has `posOf = -1`;
-    *  - every block not flagged dirty has the exact max `Δ`, and every
-    *    block before the dirty range has the exact running max.
+    *  - the blocks form one doubly linked list, their labels strictly
+    *    increase along it, and every block holds 1–256 entries;
+    *  - every pair of adjacent blocks holds more than 256 entries, so there
+    *    are at most `2·⌈|V|/256⌉ + 2` blocks;
+    *  - the bases are the dense indices: the head's is `start`, each next
+    *    one adds the previous block's size, and the last block ends at `end`;
+    *  - every `(block, slot)` location round-trips: the entry there holds
+    *    the vertex, and every id outside the order has location -1;
+    *  - every block max is exact, and so is every running max once
+    *    refreshed (as `Detect` refreshes it);
+    *  - linked and free blocks together are the blocks handed out.
     * O(capacity); for tests.
     */
   private[core] def checkInvariants(): Unit = {
     def fail(msg: String): Nothing = throw new IllegalStateException(msg)
-    var p = startIdx
-    while (p < endIdx) {
-      val v = seqArr(p)
-      if (v < 0 || v >= posArr.length || posArr(v) != p)
-        fail(s"seq($p) = $v but posOf($v) = ${if (v >= 0 && v < posArr.length) posArr(v) else "n/a"}")
-      p += 1
+    refreshRun()
+    var count = 0
+    var linked = 0
+    var pos = startIdx
+    var run = Double.NegativeInfinity
+    var prevB = -1
+    var b = headB
+    while (b >= 0) {
+      if (linked > nAlloc) fail("the block list has a cycle")
+      if (bPrev(b) != prevB) fail(s"block $b: prev ${bPrev(b)}, expected $prevB")
+      if (prevB >= 0 && bLabel(prevB) >= bLabel(b)) fail(s"labels ${bLabel(prevB)} then ${bLabel(b)}")
+      val n = bSize(b)
+      if (n < 1 || n > BlockSize) fail(s"block $b holds $n entries")
+      if (prevB >= 0 && bSize(prevB) + n <= BlockSize) fail(s"blocks $prevB and $b hold ${bSize(prevB) + n} entries")
+      if (bBase(b) != pos) fail(s"block $b: base ${bBase(b)}, expected $pos")
+      val off = b << BlockBits
+      var m = Double.NegativeInfinity
+      var s = 0
+      while (s < n) {
+        val v = seqArr(off + s)
+        if (v < 0 || v >= loc.length || loc(v) != off + s)
+          fail(s"block $b slot $s holds $v, located at ${if (v >= 0 && v < loc.length) loc(v) else "n/a"}")
+        if (wtArr(off + s) > m) m = wtArr(off + s)
+        s += 1
+      }
+      if (bMax(b) != m) fail(s"block $b: max ${bMax(b)}, recomputed $m")
+      if (m > run) run = m
+      if (bRun(b) != run) fail(s"block $b: running max ${bRun(b)}, recomputed $run")
+      count += n
+      pos += n
+      linked += 1
+      prevB = b
+      b = bNext(b)
     }
-    var inOrder = 0
+    if (prevB != tailB) fail(s"tail is $tailB, the list ends at $prevB")
+    if (pos != endIdx) fail(s"the blocks end at $pos, the order at $endIdx")
+    if (linked != nBlocks) fail(s"$linked blocks linked, $nBlocks counted")
+    if (linked + nFree != nAlloc) fail(s"$linked linked + $nFree free != $nAlloc handed out")
+    val bound = 2 * ((count + BlockSize - 1) / BlockSize) + 2
+    if (linked > bound) fail(s"$linked blocks for $count entries (bound $bound)")
+    var located = 0
     var v = 0
-    while (v < posArr.length) {
-      val q = posArr(v)
-      if (q >= 0) {
-        if (q < startIdx || q >= endIdx || seqArr(q) != v)
-          fail(s"posOf($v) = $q, but $v is not at that index of [$startIdx, $endIdx)")
-        inOrder += 1
-      } else if (q != -1) fail(s"posOf($v) = $q")
+    while (v < loc.length) {
+      if (loc(v) >= 0) located += 1 else if (loc(v) != -1) fail(s"vertex $v located at ${loc(v)}")
       v += 1
     }
-    if (inOrder != endIdx - startIdx) fail(s"$inOrder ids have a position, the order holds ${endIdx - startIdx}")
-    val firstDirty = if (dirtyLo < dirtyHi) dirtyLo >> BlockBits else blockMax.length
-    var run = Double.NegativeInfinity
-    var b = 0
-    while (b < blockMax.length) {
-      var m = Double.NegativeInfinity
-      p = math.max(b << BlockBits, startIdx)
-      val until = math.min((b + 1) << BlockBits, endIdx)
-      while (p < until) { if (wtArr(p) > m) m = wtArr(p); p += 1 }
-      if (m > run) run = m
-      if (!dirty(b) && blockMax(b) != m) fail(s"block $b: max ${blockMax(b)}, recomputed $m")
-      if (dirty(b) && b < firstDirty) fail(s"block $b is dirty outside the dirty range")
-      if (b < firstDirty && prefixMax(b) != run) fail(s"block $b: running max ${prefixMax(b)}, recomputed $run")
-      b += 1
-    }
+    if (located != count) fail(s"$located ids have a location, the order holds $count")
   }
 }
 
@@ -351,30 +648,43 @@ object PeelOrder {
   /** Relative margin of the walk's stop test against float rounding. */
   private val Slack = 1e-9
 
-  /** log2 of the block size of the block-max index (256 entries). */
+  /** log2 of the block size (256 entries). */
   private[core] final val BlockBits = 8
-  private val BlockMask = (1 << BlockBits) - 1
-  private def blocksFor(capacity: Int): Int = (capacity >> BlockBits) + 1
+  private[core] final val BlockSize = 1 << BlockBits
+  private[core] final val BlockMask = BlockSize - 1
 
-  private final case class Walk(best: Double, bestIdx: Int, cutIdx: Int)
+  // Labels start high enough for 2^16 head blocks and are spread `Gap` apart.
+  private val Gap = 1L << 24
+  private val FirstLabel = Gap << 16
+  private val MaxLabel = 1L << 52
 
-  /** Build an order from parallel vertex/weight arrays (head first), leaving
-    * head room for future prepends. `maxVertexId` sizes the position index.
+  /** Build an order from parallel vertex/weight arrays (head first), in full
+    * blocks. `maxVertexId` sizes the position index.
     */
   def fromArrays(vs: Array[Int], ws: Array[Double], maxVertexId: Int): PeelOrder = {
     require(vs.length == ws.length, "vertex/weight arrays must align")
-    val room = math.max(1024, vs.length / 4)
-    val seq = new Array[Int](room + vs.length)
-    val wt  = new Array[Double](room + vs.length)
-    System.arraycopy(vs, 0, seq, room, vs.length)
-    System.arraycopy(ws, 0, wt, room, vs.length)
-    val pos = new Array[Int](math.max(1, maxVertexId + 1))
-    java.util.Arrays.fill(pos, -1)
+    val blocks = (vs.length + BlockSize - 1) / BlockSize
+    val o = new PeelOrder(blocks + blocks / 4 + 4, maxVertexId)
     var i = 0
-    while (i < vs.length) { pos(vs(i)) = room + i; i += 1 }
-    new PeelOrder(seq, wt, pos, room, room + vs.length)
+    while (i < vs.length) {
+      val len = math.min(BlockSize, vs.length - i)
+      val b = o.open(-1, i)
+      var s = 0
+      var m = Double.NegativeInfinity
+      while (s < len) {
+        o.put((b << BlockBits) | s, vs(i + s), ws(i + s))
+        if (ws(i + s) > m) m = ws(i + s)
+        s += 1
+      }
+      o.seal(b, len, m)
+      i += len
+    }
+    o.endIdx = vs.length
+    o.writes = 0
+    if (o.headB >= 0) { o.touch(o.headB); o.touch(o.tailB) }
+    o
   }
 
   /** An empty order over an empty graph. */
-  def empty: PeelOrder = fromArrays(Array.empty, Array.empty, -1 + 1)
+  def empty: PeelOrder = fromArrays(Array.empty, Array.empty, 0)
 }

@@ -7,27 +7,39 @@ package repro.core
   * when the scan reaches its slot) or `mergeHoisted` for deletion (both
   * endpoints enter the heap at the cut).
   *
-  * Insertion only raises weights, so a vertex never pops before the scan
-  * reaches its slot. A hoisted vertex can: it is *emitted early*, leaves
-  * the active set at once (`PeelOrder.vacate`), and its old slot becomes a
-  * hole that the scan skips. Its neighbours at or after the frontier still
-  * count it in their stored `Δ`, so they enter the heap too.
+  * The scan reads the old blocks of the `PeelOrder` (see there) and writes
+  * what it emits into fresh blocks linked in front of the block it reads,
+  * so output never overlaps input. A block the scan reaches at its first
+  * entry is *stepped over* in O(1), with no copy, no location write and no
+  * re-scan, when it holds no black, gray or hoisted entry and its max `Δ`
+  * is strictly below the heap's min key: every entry of it is then a white
+  * that Case 1 cannot interrupt, so it keeps its place and only its dense
+  * base moves. Black, gray and hoisted entries stamp their block with the
+  * epoch as they arise; a stamp is sticky, which only ever sends a block
+  * back to the per-entry path. Any other block the scan enters is rewritten
+  * once: the rest go through the merge, and where a window ends the unread
+  * rest of the block moves to its front. An insertion window writes its
+  * first block in place (insertion never emits ahead of the read cursor),
+  * and keeps filling it once the scan has left it; a deletion window copies
+  * that block's entries before the window out first.
   *
-  * Emitted entries are written straight back into the order behind the
-  * read cursor. A white run moves a block at a time: the rest of a
-  * 256-entry block of the order (`PeelOrder.BlockBits`) is shifted left in
-  * one move when the block holds no black, gray or hole entry and its max
-  * `Δ` is strictly below the heap's min key, since then every entry of it is
-  * a white that Case 1 cannot interrupt. Black, gray and hole entries stamp
-  * their block with the epoch as they arise; a stamp is sticky, which only
-  * ever sends a block back to the per-entry path.
+  * Insertion only raises weights, so a vertex never pops before the scan
+  * reaches its slot. A hoisted vertex can: it is *emitted early*, and its
+  * neighbours at or after the frontier still count it in their stored `Δ`,
+  * so they are hoisted too. A hoisted vertex's old entry stays until the
+  * scan reads it (and skips it) or the merge closes; a merge closes as soon
+  * as its heap is empty, and the old entries still ahead then leave their
+  * blocks. After the merge, small neighbouring blocks of the region it
+  * touched are merged.
   *
   * Every piece of the merge's state (cursors, window, counters) is a field,
   * and adjacency is walked with `while` loops over `DynGraph`'s raw arrays,
   * so a merge allocates nothing per vertex: no captured-variable boxes and
-  * no closures. The scratch arrays only grow.
+  * no closures. The scratch arrays only grow, and blocks come from the
+  * order's free list.
   */
 private[core] final class ReorderKernel(graph: DynGraph) {
+  import PeelOrder.{BlockBits, BlockSize}
 
   private val heap = new IndexedMinHeap()
   // Gray is reference-counted per *current* heap member (the paper's Case 2
@@ -37,36 +49,45 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   private var grayEpoch = new Array[Int](16)
   private var grayCnt   = new Array[Int](16)
   private var blackMark = new Array[Int](16)
+  // aheadMark(v) == epoch: `v` was hoisted and the scan has not read its old
+  // entry yet (so a pop of `v` is an early emission).
+  private var aheadMark = new Array[Int](16)
   private var epoch = 0
   // This epoch's black vertices (`markBlack`); `mergeBlacks` turns them
-  // into their sorted positions in place.
-  private var blacks = new Array[Int](16)
+  // into `(dense position << 32) | vertex`, sorted.
+  private var blacks = new Array[Long](16)
   private var nBlacks = 0
-  // blockStamp(b) == epoch: block b of the order holds a black, gray or
-  // hole entry ahead of the frontier, so it cannot move whole.
+  // blockStamp(b) == epoch: block b holds a black, gray or hoisted entry
+  // ahead of the frontier, so it cannot be stepped over.
   private var blockStamp = new Array[Int](16)
-  // Emitted entries wait here only while an early-emitted vertex's hole
-  // lies ahead: the write cursor may then pass the read cursor.
-  private var bufV = new Array[Int](16)
-  private var bufW = new Array[Double](16)
 
   // ---- state of the running merge ----
   private var order: PeelOrder = _
-  private var k = 0           // scan frontier: next absolute index to read
-  private var wr = 0          // write cursor: next absolute index to emit to
-  private var windowStart = 0 // first index of the current window
-  private var nextCheck = 0   // the next index at which to try a block move
-  private var bufStart = 0    // index that `bufV(0)` is written to
-  private var bufLen = 0
+  private var kb = -1           // frontier block: the next entry read is (kb, ks); -1 past the tail
+  private var ks = 0
+  private var entered = false   // kb is read entry by entry (not stepped over)
+  private var ob = -1           // open output block, -1 when none
+  private var os = 0            // entries in it
+  private var obMax = 0.0
+  private var wrPos = 0         // dense index of the next entry written
+  private var opened = false    // a window has been opened in this merge
+  private var inPlace = false   // insertion: a window's first block is its first output block
+  private var firstPrev = -1    // block before the first window (-1: the head)
+  private var lastBlock = -1    // block where the last window closed (-1: the tail)
+  private var scanFrom = 0
+  private var scanTo = 0
+  private var span = 0          // entries of the order the windows cover
   private var recovered = 0
-  private var emittedTotal = 0
   private var edgesTouched = 0L
-  private var ahead = 0      // heap members whose slot the scan has not reached yet
-  private var holesAhead = 0 // early-emitted vertices whose slot the scan has not reached yet
-  private var blockMoved = 0
+  private var ahead = 0         // hoisted vertices whose old entry the scan has not read
+  private var stepped = 0
+  private var written = 0L
 
-  /** Entries the last merge moved by whole blocks (part of `emitted`). */
-  private[core] def lastBlockMoved: Int = blockMoved
+  /** Entries the last merge stepped over (part of `emitted`). */
+  private[core] def lastSteppedOver: Int = stepped
+
+  /** Entries the last merge wrote into blocks. */
+  private[core] def lastWritten: Long = written
 
   /** Start an update over vertex ids `0 until n`: no vertex is black or gray. */
   def newEpoch(n: Int): Unit = {
@@ -77,6 +98,7 @@ private[core] final class ReorderKernel(graph: DynGraph) {
       grayEpoch = java.util.Arrays.copyOf(grayEpoch, cap)
       grayCnt   = java.util.Arrays.copyOf(grayCnt, cap)
       blackMark = java.util.Arrays.copyOf(blackMark, cap)
+      aheadMark = java.util.Arrays.copyOf(aheadMark, cap)
     }
   }
 
@@ -89,129 +111,178 @@ private[core] final class ReorderKernel(graph: DynGraph) {
       nBlacks += 1
     }
 
+  @inline private def blackAt(i: Int): Int = blacks(i).toInt
+
   /** Insertion merge: the scan starts at the first black vertex's slot and
     * recovers every black vertex at its own slot. At least one vertex must
     * be marked black.
     */
   def mergeBlacks(o: PeelOrder, newVerts: Int): ReorderStats = {
+    begin(o)
+    inPlace = true
     var i = 0
-    while (i < nBlacks) { blacks(i) = o.posOf(blacks(i)); i += 1 }
+    while (i < nBlacks) {
+      val v = blackAt(i)
+      blacks(i) = (o.posOf(v).toLong << 32) | v
+      stamp(o.locOf(v))
+      i += 1
+    }
     java.util.Arrays.sort(blacks, 0, nBlacks)
-    val cut = blacks(0)
-    begin(o, cut)
-    i = 0
-    while (i < nBlacks) { stamp(blacks(i)); i += 1 }
-    run(cut, newVerts)
+    openWindow(o.locOf(blackAt(0)))
+    run(newVerts)
   }
 
-  /** Deletion merge: `src` and `dst` are marked black and enter the heap at
-    * `cut`, ahead of their slots.
+  /** Deletion merge: `src` and `dst` enter the heap at dense index `cut`,
+    * ahead of their slots.
     */
   def mergeHoisted(o: PeelOrder, cut: Int, src: Int, dst: Int): ReorderStats = {
-    blackMark(src) = epoch
-    blackMark(dst) = epoch
-    begin(o, cut)
+    begin(o)
+    inPlace = false
+    openWindow(o.locAt(cut))
     enterAhead(src)
     enterAhead(dst)
-    run(cut, 0)
+    run(0)
   }
 
-  private def begin(o: PeelOrder, cut: Int): Unit = {
+  private def begin(o: PeelOrder): Unit = {
     heap.clear()
     order = o
-    // A block move trusts the block max of every block ahead of the
-    // frontier; the ones the last merges wrote (or prepends added) are
-    // re-scanned here, unless a walk already did.
-    o.refreshBlocks()
-    if (blockStamp.length < o.blockCount)
-      blockStamp = java.util.Arrays.copyOf(blockStamp, math.max(blockStamp.length * 2, o.blockCount))
-    k = cut
-    wr = cut
-    windowStart = cut
-    nextCheck = cut
-    bufLen = 0
+    if (blockStamp.length < o.blockCapacity)
+      blockStamp = java.util.Arrays.copyOf(blockStamp, math.max(blockStamp.length * 2, o.blockCapacity))
+    ob = -1
+    opened = false
+    span = 0
     recovered = 0
-    emittedTotal = 0
     edgesTouched = 0L
     ahead = 0
-    holesAhead = 0
-    blockMoved = 0
+    stepped = 0
+    written = o.writes
   }
 
-  /** The block of index `p` cannot move whole in this merge. */
-  @inline private def stamp(p: Int): Unit = blockStamp(p >> PeelOrder.BlockBits) = epoch
+  /** The block of location `l` cannot be stepped over in this merge. */
+  @inline private def stamp(l: Int): Unit = blockStamp(l >>> BlockBits) = epoch
 
-  private def run(cut: Int, newVerts: Int): ReorderStats = {
-    val end = order.end
-    var bp = 0 // next entry of `blacks(0 until nBlacks)`, sorted positions
+  /** Open a window at location `l`; the scan starts there. The entries of
+    * its block before `l` stay in place (insertion: the block is the first
+    * output block) or are copied out.
+    */
+  private def openWindow(l: Int): Unit = {
+    kb = l >>> BlockBits
+    ks = l & PeelOrder.BlockMask
+    wrPos = order.baseOf(kb)
+    if (!opened) {
+      opened = true
+      firstPrev = order.prevBlock(kb)
+      scanFrom = wrPos + ks
+    }
+    if (inPlace) {
+      ob = kb
+      os = ks
+      obMax = order.maxOfRange(kb, 0, ks)
+      wrPos += ks
+      entered = true
+    } else {
+      entered = ks > 0
+      var s = 0
+      while (s < ks) {
+        if (ob < 0 || os == BlockSize) openOutput()
+        val n = math.min(ks - s, BlockSize - os)
+        val m = order.copyRun((kb << BlockBits) | s, (ob << BlockBits) | os, n)
+        if (m > obMax) obMax = m
+        os += n; wrPos += n; s += n
+      }
+    }
+  }
+
+  private def run(newVerts: Int): ReorderStats = {
+    var bp = 0 // next entry of `blacks(0 until nBlacks)`, sorted by position
     var done = false
     while (!done) {
-      // Jump or stop only when balanced: an empty heap and every entry
-      // read also written (so every early-emitted vertex's slot passed).
-      if (heap.isEmpty && wr == k) {
-        while (bp < nBlacks && blacks(bp) < k) bp += 1
+      if (heap.isEmpty) {
+        // The window ends here unless the next black is the frontier entry.
+        val fk = order.keyAt(kb, ks)
+        while (bp < nBlacks && order.keyOf(blackAt(bp)) < fk) bp += 1
         if (bp >= nBlacks) {
-          close(k)
-          done = true // tail [k, end) untouched — Lemma 4.1 in reverse
+          close()
+          done = true // the rest of the order is untouched — Lemma 4.1 in reverse
         } else {
-          val nb = blacks(bp)
-          if (nb > k) { close(k); windowStart = nb; k = nb; wr = nb }
-          enterHeap(order.vertexAt(k))
-          k += 1
+          val v = blackAt(bp)
           bp += 1
-        }
-      } else if (k >= end) {
-        popHead()
-      } else if (k < nextCheck || !moveBlock(end)) {
-        val v = order.vertexAt(k)
-        val kw = order.weightAt(k)
-        val black = blackMark(v) == epoch
-        if (black && (heap.contains(v) || order.posOf(v) != k)) {
-          // Hole: `v` entered the heap before its slot. Its stored Δ_k is
-          // stale and must not decide a pop.
-          k += 1
-          if (heap.contains(v)) ahead -= 1
-          else {
-            holesAhead -= 1
-            if (holesAhead == 0) drain()
+          if (order.locOf(v) != ((kb << BlockBits) | ks)) {
+            close()
+            openWindow(order.locOf(v))
           }
-        } else if (heap.nonEmpty && headBefore(v, kw)) {
+          enterHeap(v)
+          advance()
+        }
+      } else if (kb < 0) {
+        popHead()
+      } else if (entered || !stepOver()) {
+        val l = (kb << BlockBits) | ks
+        val v = order.vAt(l)
+        val kw = order.wAt(l)
+        if (aheadMark(v) == epoch) {
+          // The old entry of a hoisted vertex (in the heap, or emitted
+          // early): its stored Δ is stale and must not decide a pop.
+          aheadMark(v) = 0
+          ahead -= 1
+          advance()
+        } else if (headBefore(v, kw)) {
           // Case 1: the pending head is the global minimum (Lemma 4.2)
           popHead()
-        } else if (black || isGray(v)) {
+        } else if (blackMark(v) == epoch || isGray(v)) {
           // Case 2(a): stored Δ_k may be stale — recover and enqueue
           enterHeap(v)
-          k += 1
+          advance()
         } else {
           // Case 2(b)/3: white vertex, stored Δ_k is exact and minimal
           emit(v, kw)
-          k += 1
+          advance()
         }
       }
     }
+    order.mergeSmall(firstPrev, lastBlock)
+    order.touch(if (firstPrev >= 0) firstPrev else order.headBlock)
+    written = order.writes - written
     order = null // `Spade.loadGraph` may replace the order between merges
-    ReorderStats(cut, k, emittedTotal, recovered, edgesTouched, newVerts)
+    ReorderStats(scanFrom, scanTo, span, recovered, edgesTouched, newVerts)
   }
 
-  /** Emit the rest of the frontier's block, `[k, e)`, in one move if every
-    * entry of it is a white that Case 1 cannot interrupt: no black, gray or
-    * hole entry (no stamp), and a block max strictly below the heap's min
-    * key (ties fall back, since the id tie-break may pop first). No heap
-    * entry and no pop can then happen inside it, so the entries just shift
-    * left by the pending count, `k - wr`. Only while no early-emitted hole
-    * lies ahead, so that the write cursor is at or behind the read cursor.
-    * Either way the next try is at the next block, or after a pop.
+  /** The frontier entry was read: move past it, releasing its block once
+    * every entry of it is read (unless it is the output block).
     */
-  private def moveBlock(end: Int): Boolean = {
-    val b = k >> PeelOrder.BlockBits
-    val e = math.min((b + 1) << PeelOrder.BlockBits, end)
-    nextCheck = e
-    val move = holesAhead == 0 && blockStamp(b) != epoch && order.blockMaxAt(b) < heap.minKey
+  private def advance(): Unit = {
+    ks += 1
+    span += 1
+    entered = true
+    if (ks == order.sizeOf(kb)) {
+      val n = order.nextBlock(kb)
+      if (kb != ob) order.release(kb)
+      kb = n
+      ks = 0
+      entered = false
+    }
+  }
+
+  /** Step over the frontier block, which the scan reaches at its first
+    * entry, if every entry of it is a white that Case 1 cannot interrupt: no
+    * black, gray or hoisted entry (no stamp), and a block max strictly below
+    * the heap's min key (ties fall back, since the id tie-break may pop
+    * first). No heap entry and no pop can then happen inside it, so it keeps
+    * its entries and its place; the emitted entries before it end there.
+    */
+  private def stepOver(): Boolean = {
+    entered = true
+    val move = blockStamp(kb) != epoch && order.maxOf(kb) < heap.minKey
     if (move) {
-      order.moveLeft(k, wr, e - k)
-      blockMoved += e - k
-      wr += e - k
-      k = e
+      closeOutput()
+      val n = order.sizeOf(kb)
+      order.setBase(kb, wrPos)
+      wrPos += n
+      span += n
+      stepped += n
+      kb = order.nextBlock(kb)
+      entered = false
     }
     move
   }
@@ -226,7 +297,6 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   private def popHead(): Unit = {
     val w = heap.minKey
     emitPopped(heap.popMin(), w)
-    nextCheck = k // the min key rose: the rest of the block may move now
   }
 
   // A *white* vertex is by construction not adjacent to any heap member
@@ -234,50 +304,39 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   // needs no adjacency walk — this is what makes the affected area
   // O(|E_T|) instead of O(window × avg degree). Only heap pops walk their
   // adjacency to decrement remaining members (the paper's Case 1).
-  //
-  // Without a hole ahead the write cursor is at or behind the read cursor
-  // (it trails it by the heap members whose slot the scan passed), so the
-  // entry goes straight to its final index. Insertion never has a hole.
-  // The cursors meet only for a white read at `k` with nothing pending
-  // behind it (a deletion before its first pop): it is already in place.
   private def emit(v: Int, w: Double): Unit = {
-    if (holesAhead == 0) { if (wr != k) order.put(wr, v, w) }
-    else {
-      if (bufLen == bufV.length) {
-        bufV = java.util.Arrays.copyOf(bufV, bufLen * 2)
-        bufW = java.util.Arrays.copyOf(bufW, bufLen * 2)
-      }
-      bufV(bufLen) = v; bufW(bufLen) = w; bufLen += 1
-    }
-    wr += 1
+    if (ob < 0 || os == BlockSize) openOutput()
+    order.put((ob << BlockBits) | os, v, w)
+    if (w > obMax) obMax = w
+    os += 1
+    wrPos += 1
   }
 
-  /** The last hole ahead was passed: the write cursor is back at or behind
-    * the read cursor, so the buffered entries go to their final indices.
-    */
-  private def drain(): Unit = {
-    order.putAll(bufStart, bufV, bufW, bufLen)
-    bufLen = 0
+  /** A fresh output block, in front of the frontier block. */
+  private def openOutput(): Unit = {
+    closeOutput()
+    ob = order.open(kb, wrPos)
+    os = 0
+    obMax = Double.NegativeInfinity
   }
+
+  private def closeOutput(): Unit =
+    if (ob >= 0) {
+      order.seal(ob, os, obMax)
+      ob = -1
+    }
 
   private def emitPopped(v: Int, w: Double): Unit = {
-    // Only a vertex that entered ahead of its slot can pop before it; the
-    // counter spares insertion a position lookup per pop.
-    val early = ahead > 0 && order.posOf(v) >= k
-    if (early) {
-      ahead -= 1
-      if (holesAhead == 0) bufStart = wr
-      holesAhead += 1
-      order.vacate(v)
-    }
+    val early = aheadMark(v) == epoch
     emit(v, w)
     graph.checkVertex(v)
     decrement(graph.outNbrs(v), graph.outWts(v), graph.outCount(v))
     decrement(graph.inNbrs(v), graph.inWts(v), graph.inCount(v))
     // The neighbours of an early-emitted `v` at or after the frontier still
-    // count it in their stored Δ, so they enter the heap. They enter after
-    // the decrements above: recovery already leaves `v` out, so a parallel
-    // edge to `v` must not be subtracted twice.
+    // count it in their stored Δ, so they are hoisted. They enter after the
+    // decrements above: recovery already leaves `v` out (it is written
+    // behind the frontier), so a parallel edge to `v` must not be
+    // subtracted twice.
     if (early) {
       enterOvertaken(graph.outNbrs(v), graph.outCount(v))
       enterOvertaken(graph.inNbrs(v), graph.inCount(v))
@@ -299,56 +358,53 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   }
 
   private def enterOvertaken(nbrs: Array[Int], cnt: Int): Unit = {
+    val fk = order.keyAt(kb, ks)
     var i = 0
     while (i < cnt) {
       val x = nbrs(i)
-      if (!heap.contains(x) && order.posOf(x) >= k) {
-        blackMark(x) = epoch
-        enterAhead(x)
-      }
+      if (!heap.contains(x) && order.keyOf(x) >= fk) enterAhead(x)
       i += 1
     }
     edgesTouched += cnt
   }
 
-  /** `v` enters the heap before the scan reaches its slot, which becomes a
-    * hole.
-    */
+  /** `v` enters the heap before the scan reaches its slot. */
   private def enterAhead(v: Int): Unit = {
-    stamp(order.posOf(v))
-    enterHeap(v)
+    stamp(order.locOf(v))
+    aheadMark(v) = epoch
     ahead += 1
+    enterHeap(v)
   }
 
   /** Recover `v`'s peel weight against the active set and enqueue it. */
   private def enterHeap(v: Int): Unit = {
+    val fk = order.keyAt(kb, ks)
     var w = graph.vertexWeight(v)
-    w = recover(graph.outNbrs(v), graph.outWts(v), graph.outCount(v), w)
-    w = recover(graph.inNbrs(v), graph.inWts(v), graph.inCount(v), w)
+    w = recover(graph.outNbrs(v), graph.outWts(v), graph.outCount(v), w, fk)
+    w = recover(graph.inNbrs(v), graph.inWts(v), graph.inCount(v), w, fk)
     recovered += 1
     heap.insert(v, w)
   }
 
   /** Add to `w` the edges `(nbrs(i), ws(i))`, `i < cnt`, whose neighbour is
     * still active, and gray every neighbour (stamping the block of one
-    * ahead of the frontier).
+    * ahead of the frontier, whose order key is `fk`).
     *
     * A vertex is still *active* (unpeeled in the order being built) iff it
     * is pending in the heap, or it sits at/after the scan frontier. Emitted
-    * and jump-skipped vertices have positions strictly before the frontier
-    * (a heap member's may be stale and the frontier's entry may be
-    * overwritten), and an early-emitted one has none, so one position test
-    * covers them all.
+    * vertices sit in blocks in front of the frontier block and stepped-over
+    * ones in blocks the frontier passed, so one key test covers them all (a
+    * heap member's location may be stale).
     */
-  private def recover(nbrs: Array[Int], ws: Array[Double], cnt: Int, w0: Double): Double = {
+  private def recover(nbrs: Array[Int], ws: Array[Double], cnt: Int, w0: Double, fk: Long): Double = {
     var w = w0
     var i = 0
     while (i < cnt) {
       val x = nbrs(i)
       if (heap.contains(x)) w += ws(i)
       else {
-        val p = order.posOf(x)
-        if (p >= k) { w += ws(i); stamp(p) }
+        val l = order.locOf(x)
+        if (order.keyOfLoc(l) >= fk) { w += ws(i); stamp(l) }
       }
       if (grayEpoch(x) != epoch) { grayEpoch(x) = epoch; grayCnt(x) = 0 }
       grayCnt(x) += 1
@@ -358,15 +414,52 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     w
   }
 
-  /** End the current window at `upTo`: every entry read is written, and
-    * the next walk re-scans the window's blocks.
+  /** End the current window at the frontier, with the heap empty. The
+    * frontier block keeps only its unread entries; the old entries of
+    * early-emitted vertices still ahead leave their blocks, and the window
+    * extends over them (their positions changed). Every block passed gets
+    * its new dense base.
     */
-  private def close(upTo: Int): Unit = {
-    // `assert` would build its by-name message as a closure on every call.
-    if (wr != upTo || bufLen != 0)
-      throw new AssertionError(
-        s"assertion failed: window accounting broken: wrote ${wr - windowStart} ($bufLen buffered) vs span ${upTo - windowStart}")
-    order.markDirty(windowStart, upTo)
-    emittedTotal += upTo - windowStart
+  private def close(): Unit = {
+    lastBlock = kb
+    var pos = wrPos
+    var extra = 0
+    if (kb >= 0 && kb == ob) {
+      // An insertion window that ends in its first block: everything read
+      // was written back in place (the cursors meet), the rest is unread.
+      order.seal(kb, order.sizeOf(kb), math.max(obMax, order.maxOfRange(kb, ks, order.sizeOf(kb))))
+      ob = -1
+    } else if (kb >= 0 && (ks > 0 || ahead > 0)) {
+      closeOutput()
+      var b = kb
+      var from = ks
+      var passed = 0
+      var go = true
+      while (go) {
+        val examined = order.sizeOf(b) - from
+        val dropped =
+          if (from > 0 || blockStamp(b) == epoch) order.compact(b, from, pos)
+          else { order.setBase(b, pos); 0 }
+        if (dropped > 0) {
+          extra = passed + order.lastDropEnd
+          ahead -= dropped
+        }
+        passed += examined
+        pos += examined - dropped
+        val n = order.nextBlock(b)
+        if (order.sizeOf(b) == 0) {
+          lastBlock = order.prevBlock(b)
+          order.release(b)
+        } else lastBlock = b
+        b = n
+        from = 0
+        go = ahead > 0 && b >= 0
+      }
+    }
+    closeOutput()
+    span += extra
+    // Past the gaps between windows (insertion) or the last old entry that
+    // left its block (deletion).
+    scanTo = math.max(wrPos, scanFrom + span)
   }
 }

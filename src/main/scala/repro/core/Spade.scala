@@ -63,7 +63,7 @@ object FlushPolicy {
   *                           `FlushPolicy` flushes them through one batch
   *                           reorder and `detect` (§4.3 edge grouping by
   *                           default: an urgent edge flushes the buffer)
-  *  - `deleteEdge`         — Appendix C.1: a backward cut, then the same
+  *  - `deleteEdge`         — Appendix C.1: a forward cut, then the same
   *                           merge with both endpoints hoisted to the cut
   *  - `detect`             — densest prefix community (a backward walk
   *                           that stops at the community, see `PeelOrder`)
@@ -76,8 +76,9 @@ object FlushPolicy {
   *    *bit-identical* to a static re-peel of the updated weighted graph;
   *  - one merge kernel (`ReorderKernel`) serves single, batch and deletion
   *    updates;
-  *  - the reorder rewrites only the affected window of the sequence arrays;
-  *    the tail is left untouched (this is where the microseconds come from);
+  *  - the reorder rewrites only the blocks of the order it must edit and
+  *    steps over the rest of its window; the tail is left untouched (this
+  *    is where the microseconds come from);
   *  - updates are validated before anything is mutated, so a malformed edge
   *    rejects its whole batch and leaves the state as it was.
   */
@@ -96,6 +97,7 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
   private val pendingTxs = mutable.ArrayBuffer.empty[Tx]
   private val pendingInc = mutable.HashMap.empty[Int, Double]
   private var cachedDensity = 0.0
+  // null after a delete: built from the order on the first read
   private var lastCommunity: Community = Community(0.0, Array.empty)
 
   /** The maintained peeling sequence (read-only view for tests/benches). */
@@ -104,8 +106,14 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
   /** Number of edges currently buffered by `insertGrouped`. */
   def pendingCount: Int = pendingTxs.length
 
-  /** Community from the most recent detect/flush (no recomputation). */
-  def community: Community = lastCommunity
+  /** Community from the most recent detect or flush (no recomputation).
+    * A delete computes only its density (grouping's urgency test reads
+    * that); its members are built from the order on the first read.
+    */
+  def community: Community = {
+    if (lastCommunity == null) lastCommunity = _order.detect()
+    lastCommunity
+  }
 
   // ------------------------------------------------------------------
   // Loading
@@ -194,8 +202,11 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     */
   def detectSuspects(beta: Double = Spade.DefaultSpotBeta): Community = _order.detectThreshold(beta)
 
-  /** Entries the last merge moved by whole blocks (for tests). */
-  private[core] def lastBlockMoved: Int = kernel.lastBlockMoved
+  /** Entries the last merge stepped over as whole blocks (for tests). */
+  private[core] def lastSteppedOver: Int = kernel.lastSteppedOver
+
+  /** Entries the last merge wrote into blocks of the order (for tests). */
+  private[core] def lastWritten: Long = kernel.lastWritten
 
   // ------------------------------------------------------------------
   // Incremental insertion (§4.1 / §4.2)
@@ -309,14 +320,32 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
 
   /** Delete one occurrence of (src, dst) and repair the sequence.
     *
-    * The backward phase finds the cut per the paper's stopping rule: walk
-    * left from the earlier endpoint while the *full-set* weight `w_u(S_0)`
-    * of the passed vertex exceeds `B`, the smaller post-deletion weight of
-    * the two endpoints at the earlier endpoint's step (weights are monotone
-    * in the active set, so `w(S_0) <= B` proves the whole remaining prefix
-    * is unaffected). The forward phase is the insertion merge: both
-    * endpoints are marked black and hoisted into the heap at the cut, and
-    * `ReorderKernel.mergeHoisted` moves them (and whatever they overtake) earlier.
+    * The cut is the first index `j` in `[start, pi]` whose stored `Δ_j` is
+    * at least `B`, where `pi` is the earlier endpoint's index and
+    * `B = min(B_src, B_dst)`, `B_u = w'_u(S_pi)` being endpoint `u`'s
+    * post-deletion weight against the vertices at or after `pi`. One
+    * binary search over the order's running block max, then one block.
+    *
+    * Why the prefix before the cut stays: for `j < pi` both endpoints are in
+    * `S_j`, and the deletion changes only their weights. Weights are
+    * monotone in the active set, so `w'_u(S_j) ≥ w'_u(S_pi) = w_u(S_pi) - c
+    * = B_u ≥ B`. Every other weight in `S_j` is unchanged, so a step with
+    * `Δ_j < B` still peels its vertex, strictly before either endpoint (and
+    * `j ≤ pi` exists: `Δ_pi = B_u + c > B` for the endpoint at `pi`). The
+    * test is inclusive: at `Δ_j = B` the id tie-break may put an endpoint
+    * first.
+    *
+    * This cut is never earlier than the paper's backward rule (walk left
+    * from `pi` while the passed vertex's full-set weight `w(S_0)` is at
+    * least `B`): that rule stops at a cut `c` with `w_{x_{c-1}}(S_0) < B`,
+    * and for every `i < c`, `x_{c-1}` is in `S_i`, so
+    * `Δ_i ≤ w_{x_{c-1}}(S_i) ≤ w_{x_{c-1}}(S_0) < B`.
+    *
+    * The forward phase is the insertion merge: both endpoints are hoisted
+    * into the heap at the cut, and `ReorderKernel.mergeHoisted` moves them
+    * (and whatever they overtake) earlier, stopping once its heap is empty.
+    * The density of the new community is computed (grouping's urgency test
+    * reads it); its members only when `community` is read.
     *
     * Returns None when the edge does not exist.
     */
@@ -327,16 +356,12 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
 
     val pi = math.min(_order.posOf(src), _order.posOf(dst))
     val b = math.min(weightFrom(src, pi), weightFrom(dst, pi))
-
-    // Inclusive at ties (`>=`): with exact equal weights the id tie-break
-    // may move an endpoint before a tied prefix vertex, so tied positions
-    // must be re-merged too.
-    var cut = pi
-    while (cut > _order.start && graph.incidentWeight(_order.vertexAt(cut - 1)) >= b) cut -= 1
+    val cut = _order.firstAtLeast(b, pi)
 
     kernel.newEpoch(graph.numVertices)
     val stats = kernel.mergeHoisted(_order, cut, src, dst)
-    detect()
+    cachedDensity = _order.density()
+    lastCommunity = null
     Some(stats)
   }
 

@@ -2,20 +2,19 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-/** The merge kernel moves white runs a block at a time (256 entries of the
-  * order). The graphs here are large enough for a window to span many
+/** The merge kernel steps over whole blocks of the order (up to 256
+  * entries). The graphs here are large enough for a window to span many
   * blocks, and the updates plant what must keep a block on the per-entry
   * path: black entries (batch endpoints inside the window), gray entries
   * (neighbours of a vertex that jumps), weights tied with the heap's min key
-  * (DG), holes (deletion hoists endpoints ahead of their slots), and blocks
-  * that a merge rewrote with no `detect` before the next merge.
+  * (DG), hoisted entries (deletion hoists endpoints ahead of their slots),
+  * and blocks that a merge rewrote with no `detect` before the next merge.
   */
 class BlockMoveSpec extends AnyFunSuite {
   import TestUtil._
 
-  /** The exact oracle without `detect`, which would refresh the block
-    * index: same sequence and weights as a static re-peel, and the order's
-    * own invariants.
+  /** The exact oracle without `detect`: same sequence and weights as a
+    * static re-peel, and the order's own invariants.
     */
   private def assertSameAsStatic(spade: Spade, clue: String): Unit = {
     spade.order.checkInvariants()
@@ -37,7 +36,7 @@ class BlockMoveSpec extends AnyFunSuite {
   /** The vertices of the order, head first. */
   private def vertices(spade: Spade): IndexedSeq[Int] = spade.order.toVertexSeq
 
-  test("a far jump over a gray-free stretch moves at least 80% of its window by blocks") {
+  test("a far jump over a gray-free stretch steps over at least 80% of its window") {
     val spade = loadedSpade(Suspiciousness.DW, randomTxs(8000, 24000, 11))
     val seq = vertices(spade)
     // An isolated vertex sits at the head; tied to the tail vertex by a
@@ -46,10 +45,22 @@ class BlockMoveSpec extends AnyFunSuite {
     val u = seq.find(spade.graph.degree(_) == 0).get
     val st = spade.insertEdge(Tx(u, seq.last, 500.0))
     assert(st.emitted > 20 * 256, s"window ${st.emitted}")
-    assert(spade.lastBlockMoved >= 0.8 * st.emitted,
-      s"moved ${spade.lastBlockMoved} of ${st.emitted} entries by blocks")
+    assert(spade.lastSteppedOver >= 0.8 * st.emitted,
+      s"stepped over ${spade.lastSteppedOver} of ${st.emitted} entries")
     assertSameAsStatic(spade, "far jump")
     assertMatchesStatic(spade, "far jump")
+  }
+
+  test("a far DW jump writes the entries of at most 3 blocks") {
+    val spade = loadedSpade(Suspiciousness.DW, randomTxs(8000, 24000, 11))
+    val seq = vertices(spade)
+    // The jump of the test above: the block it leaves and the block it
+    // lands in are rewritten, every block between is stepped over.
+    val u = seq.find(spade.graph.degree(_) == 0).get
+    val st = spade.insertEdge(Tx(u, seq.last, 500.0))
+    assert(st.emitted > 20 * 256, s"window ${st.emitted}")
+    assert(spade.lastWritten <= 3 * 256, s"wrote ${spade.lastWritten} entries for a window of ${st.emitted}")
+    assertSameAsStatic(spade, "far jump")
   }
 
   test("a merge right after a batch merge, with no detect between, reads the maxima of the blocks it rewrote") {
@@ -105,7 +116,7 @@ class BlockMoveSpec extends AnyFunSuite {
               live += t
             case _ =>
               // Deleting an edge of a tail vertex hoists both endpoints over
-              // a long window, leaving holes at their slots.
+              // a long window, ahead of their old entries.
               val tail = vertices(spade).takeRight(200).toSet
               val i = live.indexWhere(t => tail(t.src) || tail(t.dst), rng.nextInt(live.length)) match {
                 case -1 => rng.nextInt(live.length)
@@ -114,13 +125,13 @@ class BlockMoveSpec extends AnyFunSuite {
               val t = live.remove(i)
               assert(spade.deleteEdge(t.src, t.dst).isDefined, clue)
           }
-          moved += spade.lastBlockMoved
+          moved += spade.lastSteppedOver
           // Inserts run no detect, so the next merge meets the blocks this
           // one rewrote still dirty; every 5th step checks `detect` too.
           assertSameAsStatic(spade, clue)
           if (step % 5 == 4) assertMatchesStatic(spade, clue)
         }
-        assert(moved > 0, s"${m.name} seed $seed: no block moved")
+        assert(moved > 0, s"${m.name} seed $seed: no block stepped over")
       }
     }
   }
@@ -130,7 +141,7 @@ class BlockMoveSpec extends AnyFunSuite {
     // hoisted endpoint can exceed the Δ stored at its slot by an ulp. With
     // this stream (skewed graph, random inserts and deletes), the block of
     // one such slot holds nothing else at or above the heap's min key at
-    // op 206; only its hole stamp keeps it from moving whole.
+    // op 206; only its stamp keeps it from being stepped over.
     val rng = new scala.util.Random(10127)
     val n = 300 + rng.nextInt(1500)
     val txs = skewedTxs(n * 3 / 4, n / 4, (1 + rng.nextInt(12)) * n, 10)

@@ -132,6 +132,34 @@ class DeletionSpec extends AnyFunSuite {
     }
   }
 
+  test("the forward cut is never earlier than the backward rule's, and the order stays exact (DG, DW, FD)") {
+    Seq[Suspiciousness](Suspiciousness.DG, Suspiciousness.DW, Suspiciousness.FD).foreach { m =>
+      (1L to 5L).foreach { seed =>
+        val n = 60
+        val txs = randomTxs(n, 4 * n, seed)
+        val spade = loadedSpade(m, txs)
+        val g = spade.graph
+        val live = scala.collection.mutable.ArrayBuffer(txs: _*)
+        val rng = new scala.util.Random(seed * 13 + m.name.length)
+        (0 until 15).foreach { i =>
+          val t = live.remove(rng.nextInt(live.length))
+          val o = spade.order
+          val seq = o.toVertexSeq
+          val pos = Array.tabulate(g.numVertices)(v => o.posOf(v) - o.start)
+          val st = spade.deleteEdge(t.src, t.dst).get
+          // The backward rule (Appendix C.1) on the post-deletion graph.
+          val pi = math.min(pos(t.src), pos(t.dst))
+          val b = math.min(g.peelWeight(t.src)(x => pos(x) >= pi), g.peelWeight(t.dst)(x => pos(x) >= pi))
+          var cut = pi
+          while (cut > 0 && g.incidentWeight(seq(cut - 1)) >= b) cut -= 1
+          val clue = s"${m.name} seed $seed delete $i"
+          assert(st.scanFrom - spade.order.start >= cut, s"$clue: forward cut ${st.scanFrom - spade.order.start}, backward $cut")
+          if (m.name == "FD") assertValidGreedy(spade, clue) else assertMatchesStatic(spade, clue)
+        }
+      }
+    }
+  }
+
   test("deleting a peripheral edge recovers a few vertices, not the suffix") {
     val txs = randomTxs(5000, 15000, 5)
     val spade = loadedSpade(Suspiciousness.DW, txs)

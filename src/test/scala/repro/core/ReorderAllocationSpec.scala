@@ -5,9 +5,9 @@ import java.lang.management.ManagementFactory
 import org.scalatest.funsuite.AnyFunSuite
 
 /** The merge kernel keeps its state in fields and walks adjacency with
-  * `while` loops, so a reorder allocates a few fixed objects per call (the
-  * stats, the batch wrapper, a delete's `detect` result), never per
-  * recovered vertex.
+  * `while` loops, and the order reuses freed blocks, so a reorder allocates
+  * a few fixed objects per call (the stats, the batch wrapper), never per
+  * recovered vertex. A delete computes only the community's density.
   */
 class ReorderAllocationSpec extends AnyFunSuite {
   import TestUtil._
@@ -23,17 +23,16 @@ class ReorderAllocationSpec extends AnyFunSuite {
     val rng = new scala.util.Random(3)
 
     /** Insert `t` and delete it again, returning the insert's stats and the
-      * bytes the insert and the delete each allocated. The delete's count
-      * leaves out the member array of the community its `detect` returns
-      * (16 header bytes plus 4 per member, 8-byte aligned). DG's order is
-      * exact, so every round repeats the same merges.
+      * bytes the insert and the whole `deleteEdge` call each allocated. DG's
+      * order is exact, so every round repeats the same merges.
       */
     def insertAndUndo(t: Tx): (ReorderStats, Long, Long) = {
       val before = bean.getThreadAllocatedBytes(tid)
       val st = spade.insertEdge(t)
       val mid = bean.getThreadAllocatedBytes(tid)
-      assert(spade.deleteEdge(t.src, t.dst).isDefined)
-      val deleteBytes = bean.getThreadAllocatedBytes(tid) - mid - ((16 + 4L * spade.community.size + 7) & ~7L)
+      val deleted = spade.deleteEdge(t.src, t.dst)
+      val deleteBytes = bean.getThreadAllocatedBytes(tid) - mid
+      assert(deleted.isDefined)
       (st, mid - before, deleteBytes)
     }
 
