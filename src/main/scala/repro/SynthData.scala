@@ -44,8 +44,6 @@ object SynthData {
     def blockEdges: Int = blockCustomers * blockMerchants * blockMultiplicity
     def totalEdges: Int = backgroundEdges + (initBlocks + incBlocks) * blockEdges
     def baseVertices: Int = nCustomers + nMerchants
-    def totalVertices: Int =
-      baseVertices + (initBlocks + incBlocks) * (blockCustomers + blockMerchants)
   }
 
   /** Deterministic uniform in (0, 1] from a row id and a salt — based on
@@ -131,14 +129,5 @@ object SynthData {
     )
 
     bg.unionByName(blocks).orderBy("ts", "src", "dst")
-  }
-
-  /** Table-3-style statistics of a generated stream. */
-  def txStreamStats(df: DataFrame): DataFrame = {
-    df.agg(
-      countDistinct(col("src")) + countDistinct(col("dst")) as "approx_v",
-      count(lit(1))                                         as "e",
-      count(when(col("fraudId") >= 0, 1))                   as "fraud_edges",
-    )
   }
 }

@@ -69,8 +69,5 @@ object BenchDatasets {
       "Grab3" -> (6716.0, 18862.0, 11.0), "Grab4" -> (6562.0, 17469.0, 14.0),
       "Amazon" -> (350.0, 342.0, 1.0), "Wiki-vote" -> (184.0, 149.0, 2.0),
       "Epinion" -> (170.0, 151.0, 5.0))
-
-    /** §5.2: prevention ratios of IncDGG / IncDWG / IncFDG. */
-    val preventionGrouped: (Double, Double, Double) = (0.8834, 0.8653, 0.9247)
   }
 }

@@ -171,19 +171,6 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
     Double.NaN
   }
 
-  /** Visit every incident edge of `u` (out then in) as `(neighbor, weight)`.
-    * Parallel edges are visited once per occurrence.
-    */
-  @inline def foreachIncident(u: Int)(f: (Int, Double) => Unit): Unit = {
-    checkVertex(u)
-    val on = outNbr(u); val ow = outW(u); val oc = outCnt(u)
-    var i = 0
-    while (i < oc) { f(on(i), ow(i)); i += 1 }
-    val nn = inNbr(u); val nw = inW(u); val ic = inCnt(u)
-    i = 0
-    while (i < ic) { f(nn(i), nw(i)); i += 1 }
-  }
-
   /** Visit only the out-edges of `u` as `(dst, weight)` — lets callers count
     * each directed edge exactly once when summing `f_E(S)`.
     */

@@ -1,7 +1,8 @@
 package repro.core
 
 /** Array-backed 4-ary min-heap over dense non-negative integer ids with
-  * O(log n) insert / pop / change-key and O(1) contains / key lookup.
+  * O(log n) insert / pop / `addTo` (a key change by a delta) and O(1)
+  * contains / key lookup.
   *
   * Ordering is lexicographic on `(key, id)` so every consumer of the heap is
   * deterministic: the static peeling (Algorithm 1 of the paper) and the
@@ -119,13 +120,6 @@ final class IndexedMinHeap(initialCapacity: Int = 16) {
     requireAbsent(id)
     n += 1
     siftUp(n - 1, id, key)
-  }
-
-  /** Set the key of an existing id (may move it either direction). */
-  def changeKey(id: Int, key: Double): Unit = {
-    requirePresent(id)
-    val i = pos(id)
-    if (key < keys(i)) siftUp(i, id, key) else siftDown(i, id, key)
   }
 
   /** Add `delta` to the key of an existing id. */

@@ -117,7 +117,7 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     * recovers every black vertex at its own slot. At least one vertex must
     * be marked black.
     */
-  def mergeBlacks(o: PeelOrder, newVerts: Int): ReorderStats = {
+  def mergeBlacks(o: PeelOrder): ReorderStats = {
     begin(o)
     inPlace = true
     var i = 0
@@ -129,7 +129,7 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     }
     java.util.Arrays.sort(blacks, 0, nBlacks)
     openWindow(o.locOf(blackAt(0)))
-    run(newVerts)
+    run()
   }
 
   /** Deletion merge: `src` and `dst` enter the heap at dense index `cut`,
@@ -141,7 +141,7 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     openWindow(o.locAt(cut))
     enterAhead(src)
     enterAhead(dst)
-    run(0)
+    run()
   }
 
   private def begin(o: PeelOrder): Unit = {
@@ -194,7 +194,7 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     }
   }
 
-  private def run(newVerts: Int): ReorderStats = {
+  private def run(): ReorderStats = {
     var bp = 0 // next entry of `blacks(0 until nBlacks)`, sorted by position
     var done = false
     while (!done) {
@@ -245,7 +245,7 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     order.touch(if (firstPrev >= 0) firstPrev else order.headBlock)
     written = order.writes - written
     order = null // `Spade.loadGraph` may replace the order between merges
-    ReorderStats(scanFrom, scanTo, span, recovered, edgesTouched, newVerts)
+    ReorderStats(scanFrom, scanTo, span, recovered, edgesTouched)
   }
 
   /** The frontier entry was read: move past it, releasing its block once

@@ -10,7 +10,6 @@ import scala.collection.mutable
   * @param emitted     vertices written back (|window|, = `|V_T|`)
   * @param recovered   vertices whose peel weight was recovered from adjacency
   * @param edgesTouched incident-edge visits during the reorder (≈ `|E_T|`)
-  * @param newVertices  brand-new vertices prepended to the sequence head
   */
 final case class ReorderStats(
     scanFrom: Int,
@@ -18,17 +17,10 @@ final case class ReorderStats(
     emitted: Int,
     recovered: Int,
     edgesTouched: Long,
-    newVertices: Int,
-) {
-  def windowSize: Int = emitted
-  def merge(o: ReorderStats): ReorderStats = ReorderStats(
-    math.min(scanFrom, o.scanFrom), math.max(scanTo, o.scanTo),
-    emitted + o.emitted, recovered + o.recovered,
-    edgesTouched + o.edgesTouched, newVertices + o.newVertices)
-}
+)
 
 object ReorderStats {
-  val zero: ReorderStats = ReorderStats(Int.MaxValue, Int.MinValue, 0, 0, 0L, 0)
+  val zero: ReorderStats = ReorderStats(Int.MaxValue, Int.MinValue, 0, 0, 0L)
 }
 
 /** When `Spade.insertGrouped` flushes its buffer of pending edges. The
@@ -95,6 +87,9 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
 
   // ---- edge-grouping state (§4.3) ----
   private val pendingTxs = mutable.ArrayBuffer.empty[Tx]
+  // esusp of each buffered edge, frozen when it was buffered (its share of
+  // `pendingInc`); the edge that triggers a flush is never stored here
+  private val pendingC = mutable.ArrayBuffer.empty[Double]
   private val pendingInc = mutable.HashMap.empty[Int, Double]
   private var cachedDensity = 0.0
   // null after a delete: built from the order on the first read
@@ -245,7 +240,7 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
       kernel.markBlack(t.src)
       kernel.markBlack(t.dst)
     }
-    kernel.mergeBlacks(_order, priors.length)
+    kernel.mergeBlacks(_order)
   }
 
   /** Reject a transaction that the graph or the metric cannot take: a
@@ -298,6 +293,7 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
       Some(flushPending())
     } else {
       val c = metric.esusp(t, graph)
+      pendingC += c
       pendingInc(t.src) = pendingInc.getOrElse(t.src, 0.0) + c
       pendingInc(t.dst) = pendingInc.getOrElse(t.dst, 0.0) + c
       None
@@ -309,6 +305,7 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     if (pendingTxs.isEmpty) return ReorderStats.zero
     val stats = insertBatchEdges(pendingTxs.toSeq)
     pendingTxs.clear()
+    pendingC.clear()
     pendingInc.clear()
     detect()
     stats
@@ -347,12 +344,16 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     * The density of the new community is computed (grouping's urgency test
     * reads it); its members only when `community` is read.
     *
+    * When the graph holds no `(src, dst)` but the grouping buffer does, the
+    * latest buffered occurrence is dropped instead (with its share of the
+    * pending endpoint weights) and the order is left as it is.
+    *
     * Returns None when the edge does not exist.
     */
   def deleteEdge(src: Int, dst: Int): Option[ReorderStats] = {
     require(loaded, "call loadGraph before deletion")
     val w = graph.removeEdge(src, dst)
-    if (w.isNaN) return None
+    if (w.isNaN) return if (dropPending(src, dst)) Some(ReorderStats.zero) else None
 
     val pi = math.min(_order.posOf(src), _order.posOf(dst))
     val b = math.min(weightFrom(src, pi), weightFrom(dst, pi))
@@ -363,6 +364,19 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     cachedDensity = _order.density()
     lastCommunity = null
     Some(stats)
+  }
+
+  /** Drop the latest buffered `(src, dst)` and take back its `pendingInc`
+    * share; false when none is buffered.
+    */
+  private def dropPending(src: Int, dst: Int): Boolean = {
+    val i = pendingTxs.lastIndexWhere(t => t.src == src && t.dst == dst)
+    if (i < 0) return false
+    pendingTxs.remove(i)
+    val c = pendingC.remove(i)
+    pendingInc(src) -= c
+    pendingInc(dst) -= c
+    true
   }
 
   /** Peel weight of `u` against the vertices at or after index `from`. */

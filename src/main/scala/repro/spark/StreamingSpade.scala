@@ -1,7 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.streaming.{StreamingQuery, Trigger}
 import repro.core.{Community, ReorderStats, Spade, SpotRecord, Suspiciousness, Tx}
 
@@ -74,18 +73,13 @@ final class StreamingSpade(metric: Suspiciousness, spotBeta: Double = Spade.Defa
     * the query lifecycle (`processAllAvailable`, `stop`).
     */
   def start(stream: DataFrame, queryName: String = "spade-stream"): StreamingQuery = {
-    stream
-      .select(col("src").cast("int"), col("dst").cast("int"),
-              col("amount").cast("double"), col("ts").cast("double"),
-              col("fraudId").cast("int"))
+    TxFrames.txColumns(stream)
       .writeStream
       .queryName(queryName)
       .trigger(Trigger.ProcessingTime(0L))
       .outputMode("append")
       .foreachBatch { (df: DataFrame, batchId: Long) =>
-        val txs = df.collect().map { r: Row =>
-          Tx(r.getInt(0), r.getInt(1), r.getDouble(2), r.getDouble(3), r.getInt(4))
-        }
+        val txs = df.collect().map(TxFrames.toTx)
         if (txs.nonEmpty) { processBatch(batchId, txs); () }
       }
       .start()

@@ -62,7 +62,7 @@ class DetectSpec extends AnyFunSuite {
     (0 to 4).foreach { kind =>
       val n = 600 + rng.nextInt(1500)
       val o = randomOrder(rng, n, kind)
-      val room = o.start
+      val heads = scala.collection.mutable.Set(o.headBlock)
       var next = n
       (1 to 60).foreach { round =>
         // a write-back window: reweight or swap entries in [a, b)
@@ -78,11 +78,13 @@ class DetectSpec extends AnyFunSuite {
           }
           p += 1
         }
-        // enough head inserts over the rounds to exhaust the head room
+        // head inserts fill the head block, then open new head blocks
         (0 until 40).foreach { _ => o.prepend(next, rng.nextInt(3).toDouble); next += 1 }
+        heads += o.headBlock
+        o.checkInvariants()
         assertDetectMatchesFull(o, s"kind=$kind round=$round")
       }
-      assert(next - n > room, "the prepends should have outgrown the head room")
+      assert(heads.size > 1, "the prepends should have opened new head blocks")
     }
   }
 
@@ -98,7 +100,7 @@ class DetectSpec extends AnyFunSuite {
     // a later write behind the heavy region must keep its block maxima
     o.set(o.start + 2500, 2500, 1.0)
     assertDetectMatchesFull(o, "after a rewrite behind the heavy region")
-    // zero-weight head inserts past the head room reallocate the arrays
+    // 1100 zero-weight head inserts open new head blocks in front
     (n until n + 1100).foreach(v => o.prepend(v, 0.0))
     assert(o.detect().size == n - 100)
     assertDetectMatchesFull(o, "after reallocation")

@@ -65,14 +65,6 @@ class DynGraphSpec extends AnyFunSuite {
     assert(g.totalF == 3.0 && g.incidentWeight(0) == 3.0)
   }
 
-  test("foreachIncident visits out- and in-edges with weights") {
-    val g = new DynGraph()
-    g.addEdge(0, 1, 1.0); g.addEdge(2, 0, 4.0); g.addEdge(0, 3, 2.0)
-    var seen = List.empty[(Int, Double)]
-    g.foreachIncident(0)((v, w) => seen ::= (v, w))
-    assert(seen.toSet == Set((1, 1.0), (3, 2.0), (2, 4.0)))
-  }
-
   test("foreachIncidentOut visits only out-edges") {
     val g = new DynGraph()
     g.addEdge(0, 1, 1.0); g.addEdge(2, 0, 4.0)
@@ -119,8 +111,7 @@ class DynGraphSpec extends AnyFunSuite {
       }
       (0 until 40 by 3).foreach(v => g.setVertexWeight(v, rng.nextInt(10).toDouble))
       (0 until g.numVertices).foreach { v =>
-        var s = g.vertexWeight(v)
-        g.foreachIncident(v)((_, w) => s += w)
+        val s = g.peelWeight(v)(_ => true)
         assert(math.abs(s - g.incidentWeight(v)) < 1e-9, s"seed $seed vertex $v")
       }
     }

@@ -97,6 +97,25 @@ class EdgeGroupingSpec extends AnyFunSuite {
     assertMatchesStatic(spade, "explicit flush")
   }
 
+  test("deleting a still-buffered edge drops it from the buffer, not the graph") {
+    val spade = fringeAndCore()
+    val before = spade.order.toVertexSeq
+    // w0(0) = 1.0: a 2.9 edge at vertex 0 is benign, unless 0.5 more is pending
+    val probe = Tx(0, 3, 2.9)
+    assert(spade.isBenign(probe))
+    assert(spade.insertGrouped(Tx(0, 2, 0.5)).isEmpty)
+    assert(spade.insertGrouped(Tx(4, 6, 0.1)).isEmpty)
+    assert(!spade.isBenign(probe))
+    assert(spade.deleteEdge(0, 2) == Some(ReorderStats.zero))
+    assert(spade.pendingCount == 1)
+    assert(spade.isBenign(probe), "the deleted edge's pending weight was not taken back")
+    assert(spade.order.toVertexSeq == before)
+    assert(spade.deleteEdge(0, 2).isEmpty) // nothing left to delete
+    spade.flushPending()
+    assert(spade.pendingCount == 0 && spade.graph.numEdges == 12)
+    assertMatchesStatic(spade, "flush after deleting a buffered edge")
+  }
+
   test("flushPending on an empty buffer is a no-op") {
     val spade = fringeAndCore()
     assert(spade.flushPending() == ReorderStats.zero)

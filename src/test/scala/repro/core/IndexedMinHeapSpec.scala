@@ -32,7 +32,7 @@ class IndexedMinHeapSpec extends AnyFunSuite {
   test("decrease-key moves an entry up") {
     val h = new IndexedMinHeap()
     h.insert(0, 10.0); h.insert(1, 5.0); h.insert(2, 7.0)
-    h.changeKey(0, 1.0)
+    h.addTo(0, -9.0)
     assert(h.minId == 0)
     assert(h.keyOf(0) == 1.0)
   }
@@ -40,7 +40,7 @@ class IndexedMinHeapSpec extends AnyFunSuite {
   test("increase-key moves an entry down") {
     val h = new IndexedMinHeap()
     h.insert(0, 1.0); h.insert(1, 5.0); h.insert(2, 7.0)
-    h.changeKey(0, 9.0)
+    h.addTo(0, 8.0)
     assert(h.minId == 1)
     assert(h.popMin() == 1 && h.popMin() == 2 && h.popMin() == 0)
   }
@@ -76,9 +76,9 @@ class IndexedMinHeapSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](h.insert(1, 2.0))
   }
 
-  test("changeKey on absent id is rejected") {
+  test("addTo on absent id is rejected") {
     val h = new IndexedMinHeap()
-    intercept[IllegalArgumentException](h.changeKey(3, 1.0))
+    intercept[IllegalArgumentException](h.addTo(3, 1.0))
   }
 
   test("popMin on empty heap is rejected") {
@@ -93,7 +93,7 @@ class IndexedMinHeapSpec extends AnyFunSuite {
       (0 until 200).foreach { _ =>
         val id = rng.nextInt(60)
         val k = rng.nextInt(1000) / 100.0
-        if (keys.contains(id)) { h.changeKey(id, k); keys(id) = k }
+        if (keys.contains(id)) { val d = k - keys(id); h.addTo(id, d); keys(id) += d }
         else { h.insert(id, k); keys(id) = k }
       }
       val popped = Iterator.continually(if (h.nonEmpty) Some((h.minKey, h.popMin())) else None)
@@ -152,10 +152,10 @@ class IndexedMinHeapSpec extends AnyFunSuite {
             h.insert(id, k); ref(id) = k; check(s"insert($id, $k)")
           case 3 | 4 if ref.nonEmpty =>
             val id = present(); val k = ref(id) - 0.5 * (1 + rng.nextInt(3))
-            h.changeKey(id, k); ref(id) = k; check(s"changeKey($id, $k) down")
+            val d = k - ref(id); h.addTo(id, d); ref(id) += d; check(s"addTo($id, $d) down")
           case 5 | 6 if ref.nonEmpty =>
             val id = present(); val k = ref(id) + 0.5 * rng.nextInt(3)
-            h.changeKey(id, k); ref(id) = k; check(s"changeKey($id, $k) up or same")
+            val d = k - ref(id); h.addTo(id, d); ref(id) += d; check(s"addTo($id, $d) up or same")
           case 7 | 8 if ref.nonEmpty =>
             val id = present(); val d = (rng.nextInt(5) - 2) * 0.5
             h.addTo(id, d); ref(id) += d; check(s"addTo($id, $d)")

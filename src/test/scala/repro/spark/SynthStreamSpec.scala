@@ -72,19 +72,6 @@ class SynthStreamSpec extends SparkSpec {
     assert(df.filter(col("amount") <= 0).count() == 0)
   }
 
-  test("oracle: stream statistics agree with DuckDB") {
-    val stats = SynthData.txStreamStats(df)
-      .select(col("approx_v").cast("long").as("v"), col("e").cast("long").as("e"),
-              col("fraud_edges").cast("long").as("fe"))
-    Oracle.assertEquivalent(
-      stats,
-      """SELECT (SELECT COUNT(DISTINCT src) FROM txs) + (SELECT COUNT(DISTINCT dst) FROM txs) AS v,
-        |       COUNT(*) AS e,
-        |       COUNT(*) FILTER (WHERE CAST(fraudId AS INT) >= 0) AS fe
-        |FROM txs""".stripMargin,
-      "txs" -> df)
-  }
-
   test("oracle: per-merchant transaction totals agree with DuckDB (DW mass)") {
     val grouped = df.groupBy("dst").agg(round(sum("amount"), 2).as("total"))
       .filter(col("dst") < 410) // keep the oracle table small

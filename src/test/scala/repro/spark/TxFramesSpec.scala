@@ -1,11 +1,10 @@
 package repro.spark
 
-import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{SparkSpec, SynthData}
 import repro.SynthData.TxStreamSpec
 import repro.core.{Spade, Suspiciousness}
 
-/** DataFrame ↔ driver-graph bridge: loading, splitting, stats. */
+/** DataFrame ↔ `Tx` bridge: loading and splitting. */
 class TxFramesSpec extends SparkSpec {
 
   private val spec = TxStreamSpec(
@@ -33,51 +32,6 @@ class TxFramesSpec extends SparkSpec {
     val txs = TxFrames.collectOrdered(df)
     intercept[IllegalArgumentException](TxFrames.splitInitialIncrements(txs, 0.0))
     intercept[IllegalArgumentException](TxFrames.splitInitialIncrements(txs, 1.0))
-  }
-
-  test("oracle: graphStats (V, E, avg degree) agrees with DuckDB") {
-    val stats = TxFrames.graphStats(spark, df, 0.10)
-      .select(col("v").cast("long").as("v"), col("e").cast("long").as("e"),
-              col("avg_degree").cast("double").as("avg_degree"),
-              col("increments").cast("long").as("increments"))
-    Oracle.assertEquivalent(
-      stats,
-      """SELECT v, e, ROUND(2.0 * e / v, 3) AS avg_degree,
-        |       CAST(FLOOR(e * 0.10) AS BIGINT) AS increments
-        |FROM (SELECT MAX(GREATEST(CAST(src AS BIGINT), CAST(dst AS BIGINT))) + 1 AS v,
-        |             COUNT(*) AS e FROM txs)""".stripMargin,
-      "txs" -> df)
-  }
-
-  test("oracle: weightedDegrees agrees with DuckDB") {
-    val withW = df.select(col("src"), col("dst"), col("amount").as("w"))
-    val wd = TxFrames.weightedDegrees(withW)
-      .filter(col("v") < 150)
-      .select(col("v").cast("long").as("v"), round(col("w0"), 2).as("w0"))
-    Oracle.assertEquivalent(
-      wd,
-      """SELECT CAST(v AS BIGINT) AS v, ROUND(SUM(w), 2) AS w0 FROM (
-        |  SELECT src AS v, CAST(amount AS DOUBLE) AS w FROM txs
-        |  UNION ALL
-        |  SELECT dst AS v, CAST(amount AS DOUBLE) AS w FROM txs
-        |) WHERE CAST(v AS INT) < 150 GROUP BY v""".stripMargin,
-      "txs" -> df)
-  }
-
-  test("weightedDegrees matches DynGraph.incidentWeight vertex by vertex (DW)") {
-    val txs = TxFrames.collectOrdered(df)
-    val spade = new Spade(Suspiciousness.DW)
-    spade.loadGraph(txs)
-    val withW = df.select(col("src"), col("dst"), col("amount").as("w"))
-    val sql = TxFrames.weightedDegrees(withW).collect()
-      .map(r => r.getInt(0) -> r.getDouble(1)).toMap
-    sql.foreach { case (v, w0) =>
-      assert(math.abs(spade.graph.incidentWeight(v) - w0) < 1e-6, s"vertex $v")
-    }
-    // vertices absent from the SQL side have no edges
-    (0 until spade.graph.numVertices).filterNot(sql.contains).foreach { v =>
-      assert(spade.graph.degree(v) == 0)
-    }
   }
 
   test("driver replay of the collected stream detects the planted increment block") {
