@@ -133,7 +133,7 @@ object TableRunners {
     }
     val st = StreamReplay.replayStatic(metric, init, inc, oracleGranularity = 200)
     val b1k = replay(FlushPolicy.Every(1000))
-    val gr = replay(FlushPolicy.Grouped())
+    val gr = replay(FlushPolicy.Grouped)
     Table5Row(spec.name, metric.name,
       st.staticRunSeconds, st.preventionRatio,
       b1k.perEdgeMicros, b1k.avgLatencyAll / math.max(1e-12, st.avgLatencyAll), b1k.preventionRatio,

@@ -31,9 +31,8 @@ final case class Community(density: Double, members: Array[Int]) {
   *  - Every block keeps the dense index of its first entry, so the public
   *    dense-index API (`start`, `end`, `posOf`, `vertexAt`, ...) keeps its
   *    meaning; an update writes the base of each block it touches or steps
-  *    over. `vertexAt` finds its block by a binary search over the blocks in
-  *    order (rebuilt lazily after a structural change) or by the block it
-  *    found last.
+  *    over. `vertexAt` finds its block from the block it found last, or by
+  *    a walk from the head.
   *  - Every pair of adjacent blocks holds more than 256 entries (merges of
   *    small neighbours restore it after each update), so there are at most
   *    `2·⌈|V|/256⌉ + 1` blocks.
@@ -68,10 +67,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
   // bRun changes only where a predecessor's did.
   private var runFrom = -1
   private var runTo = Long.MinValue
-  // The linked blocks in order, valid while `orderedOk`.
-  private var ordered = new Array[Int](capacityBlocks)
-  private var orderedOk = false
-  private var cursor = -1 // the block `locAt` found last, -1 after a structural change
+  private var cursor = -1 // the block `locAt` found last, -1 after a block is linked or unlinked
 
   private var walked = 0
   private var walkBest = 0.0
@@ -279,28 +275,21 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     walkCutLen = cutLen
   }
 
-  /** Dense index of the first entry in `[start, upTo]` whose `Δ` is at
-    * least `b`, or `upTo` when there is none: a binary search over the
-    * running max of the blocks in order, then one block.
+  /** Location of the first entry up to location `upTo` whose `Δ` is at
+    * least `b`, or `upTo` when there is none before it: a walk over the
+    * running max of the blocks from the head, then one block.
     */
   private[core] def firstAtLeast(b: Double, upTo: Int): Int = {
     refreshRun()
-    ensureOrdered()
-    var lo = 0
-    var hi = nBlocks
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (bRun(ordered(mid)) >= b) hi = mid else lo = mid + 1
-    }
-    if (lo == nBlocks) upTo
-    else {
-      // bRun rises to >= b at this block, so its own max is >= b.
-      val blk = ordered(lo)
-      val off = blk << BlockBits
-      var s = 0
-      while (wtArr(off + s) < b) s += 1
-      math.min(bBase(blk) + s, upTo)
-    }
+    val last = upTo >>> BlockBits
+    var blk = headB
+    while (blk != last && bRun(blk) < b) blk = bNext(blk)
+    // Before `last`, bRun rises to >= b at `blk`, so its own max is >= b.
+    val off = blk << BlockBits
+    val until = if (blk == last) upTo & BlockMask else bSize(blk)
+    var s = 0
+    while (s < until && wtArr(off + s) < b) s += 1
+    off + s
   }
 
   /** Redo the running max from `runFrom` through the changed blocks, and
@@ -336,7 +325,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
   // ------------------------------------------------------------------
 
   /** The packed `(block, slot)` location of dense index `p`. */
-  private[core] def locAt(p: Int): Int = {
+  private def locAt(p: Int): Int = {
     // `require` without its per-call message closure: see `IndexedMinHeap.requirePresent`.
     if (p < startIdx || p >= endIdx)
       throw new IllegalArgumentException(s"requirement failed: index $p outside [$startIdx, $endIdx)")
@@ -344,28 +333,13 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     if (b < 0 || p < bBase(b) || p - bBase(b) >= bSize(b)) {
       b = if (b >= 0) bNext(b) else -1
       if (b < 0 || p < bBase(b) || p - bBase(b) >= bSize(b)) {
-        ensureOrdered()
-        var lo = 0
-        var hi = nBlocks - 1
-        while (lo < hi) { // the last block whose base is <= p
-          val mid = (lo + hi + 1) >>> 1
-          if (bBase(ordered(mid)) <= p) lo = mid else hi = mid - 1
-        }
-        b = ordered(lo)
+        b = headB
+        while (p - bBase(b) >= bSize(b)) b = bNext(b)
       }
       cursor = b
     }
     (b << BlockBits) | (p - bBase(b))
   }
-
-  private def ensureOrdered(): Unit =
-    if (!orderedOk) {
-      if (ordered.length < nBlocks) ordered = new Array[Int](bSize.length)
-      var i = 0
-      var b = headB
-      while (b >= 0) { ordered(i) = b; i += 1; b = bNext(b) }
-      orderedOk = true
-    }
 
   // ------------------------------------------------------------------
   // Block access for the merge kernel (no range checks)
@@ -447,7 +421,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     if (p < 0) headB = b else bNext(p) = b
     if (before < 0) tailB = b else bPrev(before) = b
     nBlocks += 1
-    structureChanged()
+    cursor = -1
     val l = bLabel(b)
     if (l <= (if (p < 0) 0L else bLabel(p)) || (before >= 0 && l >= bLabel(before)) || l > MaxLabel) relabel()
     bSize(b) = 0
@@ -469,7 +443,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     if (p < 0) headB = n else bNext(p) = n
     if (n < 0) tailB = p else bPrev(n) = p
     nBlocks -= 1
-    structureChanged()
+    cursor = -1
     freeIds(nFree) = b
     nFree += 1
     if (runFrom == b) runFrom = -1
@@ -555,11 +529,6 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     bMax = java.util.Arrays.copyOf(bMax, cap)
     bRun = java.util.Arrays.copyOf(bRun, cap)
     freeIds = java.util.Arrays.copyOf(freeIds, cap)
-  }
-
-  private def structureChanged(): Unit = {
-    orderedOk = false
-    cursor = -1
   }
 
   /** Spread the labels evenly again (order unchanged). */

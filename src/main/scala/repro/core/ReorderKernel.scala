@@ -132,13 +132,13 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     run()
   }
 
-  /** Deletion merge: `src` and `dst` enter the heap at dense index `cut`,
+  /** Deletion merge: `src` and `dst` enter the heap at location `cut`,
     * ahead of their slots.
     */
   def mergeHoisted(o: PeelOrder, cut: Int, src: Int, dst: Int): ReorderStats = {
     begin(o)
     inPlace = false
-    openWindow(o.locAt(cut))
+    openWindow(cut)
     enterAhead(src)
     enterAhead(dst)
     run()

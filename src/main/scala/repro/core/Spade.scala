@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Cost accounting for one incremental reorder — the "affected area"
   * `G_T = (V_T, E_T)` of §4.1.
   *
@@ -23,8 +21,8 @@ object ReorderStats {
   val zero: ReorderStats = ReorderStats(Int.MaxValue, Int.MinValue, 0, 0, 0L)
 }
 
-/** When `Spade.insertGrouped` flushes its buffer of pending edges. The
-  * paper's `IncX-batch` and `IncXG` rows (Tables 4–5) differ only in this.
+/** When `Spade.insertGrouped` reorders its pending edges. The paper's
+  * `IncX-batch` and `IncXG` rows (Tables 4–5) differ only in this.
   */
 sealed trait FlushPolicy
 
@@ -35,12 +33,8 @@ object FlushPolicy {
     require(n >= 1, s"flush size must be >= 1, got $n")
   }
 
-  /** §4.3 edge grouping (`IncXG`): flush on an urgent edge (Definition 4.1)
-    * or once `cap` edges are pending.
-    */
-  final case class Grouped(cap: Int = 1 << 20) extends FlushPolicy {
-    require(cap >= 1, s"flush cap must be >= 1, got $cap")
-  }
+  /** §4.3 edge grouping (`IncXG`): flush on an urgent edge (Definition 4.1). */
+  case object Grouped extends FlushPolicy
 }
 
 /** The Spade framework (Listing 1): incrementally maintains the peeling
@@ -51,14 +45,21 @@ object FlushPolicy {
   *  - `insertEdge`         — §4.1 single-edge peeling-sequence reordering
   *  - `insertBatchEdges`   — §4.2 Algorithm 2 (batch reordering; black /
   *                           gray / white coloring avoids stale work)
-  *  - `insertGrouped`      — the buffered entry point: edges wait until the
-  *                           `FlushPolicy` flushes them through one batch
-  *                           reorder and `detect` (§4.3 edge grouping by
-  *                           default: an urgent edge flushes the buffer)
+  *  - `insertGrouped`      — the grouped entry point: the edge enters the
+  *                           graph at once, and its reorder waits until the
+  *                           `FlushPolicy` flushes every pending edge through
+  *                           one batch reorder and `detect` (§4.3 edge
+  *                           grouping by default: an urgent edge flushes)
   *  - `deleteEdge`         — Appendix C.1: a forward cut, then the same
   *                           merge with both endpoints hoisted to the cut
   *  - `detect`             — densest prefix community (a backward walk
   *                           that stops at the community, see `PeelOrder`)
+  *
+  * Every insertion adds its edges to `graph` when it is called (`add`) and
+  * reorders later (`reorder`): at once for `insertEdge` and
+  * `insertBatchEdges`, at the flush for `insertGrouped`. Until then the
+  * order is as it was, and the pending edges' endpoints are its only stale
+  * entries; `deleteEdge` and the batch entry points reorder them first.
   *
   * Implementation choices (see DESIGN.md):
   *  - weight *recovery* recomputes `w_v` from adjacency against the current
@@ -74,9 +75,11 @@ object FlushPolicy {
   *  - updates are validated before anything is mutated, so a malformed edge
   *    rejects its whole batch and leaves the state as it was.
   */
-final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPolicy.Grouped()) {
+final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPolicy.Grouped) {
 
-  /** The evolving graph with materialized suspiciousness weights. */
+  /** The evolving graph with materialized suspiciousness weights, pending
+    * edges included.
+    */
   val graph = new DynGraph()
 
   private var _order: PeelOrder = PeelOrder.empty
@@ -85,12 +88,10 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
   // The merge kernel and its reusable scratch (allocation-free steady state).
   private val kernel = new ReorderKernel(graph)
 
-  // ---- edge-grouping state (§4.3) ----
-  private val pendingTxs = mutable.ArrayBuffer.empty[Tx]
-  // esusp of each buffered edge, frozen when it was buffered (its share of
-  // `pendingInc`); the edge that triggers a flush is never stored here
-  private val pendingC = mutable.ArrayBuffer.empty[Double]
-  private val pendingInc = mutable.HashMap.empty[Int, Double]
+  // Both endpoints of every edge added since the last reorder, in pairs:
+  // the black set of the next reorder.
+  private var pendingEnds = new Array[Int](16)
+  private var nPendingEnds = 0
   private var cachedDensity = 0.0
   // null after a delete: built from the order on the first read
   private var lastCommunity: Community = Community(0.0, Array.empty)
@@ -98,8 +99,8 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
   /** The maintained peeling sequence (read-only view for tests/benches). */
   def order: PeelOrder = _order
 
-  /** Number of edges currently buffered by `insertGrouped`. */
-  def pendingCount: Int = pendingTxs.length
+  /** Number of edges in the graph that the order does not reflect yet. */
+  def pendingCount: Int = nPendingEnds / 2
 
   /** Community from the most recent detect or flush (no recomputation).
     * A delete computes only its density (grouping's urgency test reads
@@ -118,12 +119,14 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     * run the static peeling once. Returns the initial community. The whole
     * load is validated first, edges and the priors of the vertices it
     * creates, so a malformed edge or prior rejects it before any change.
+    * The static peel takes in any pending edges, so none are left.
     */
   def loadGraph(txs: IterableOnce[Tx]): Community = {
     val all = txs.iterator.toArray
     val priors = validateAll(all)
     addVertices(priors)
-    all.foreach(addTx)
+    all.foreach(t => graph.addEdge(t.src, t.dst, metric.esusp(t, graph)))
+    nPendingEnds = 0
     _order = StaticPeeling.peel(graph)
     loaded = true
     detect()
@@ -173,10 +176,39 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     while (i < priors.length) { graph.setVertexWeight(base + i, priors(i)); i += 1 }
   }
 
-  /** Add one transaction's edge with its `esusp` weight frozen now. Both
-    * endpoints must exist.
+  /** Add `t`'s edge with its `esusp` weight `c`, frozen now, and make both
+    * endpoints black for the next `reorder`. Both endpoints must exist.
     */
-  private def addTx(t: Tx): Unit = graph.addEdge(t.src, t.dst, metric.esusp(t, graph))
+  private def add(t: Tx, c: Double): Unit = {
+    graph.addEdge(t.src, t.dst, c)
+    if (nPendingEnds + 2 > pendingEnds.length) pendingEnds = java.util.Arrays.copyOf(pendingEnds, 2 * pendingEnds.length)
+    pendingEnds(nPendingEnds) = t.src
+    pendingEnds(nPendingEnds + 1) = t.dst
+    nPendingEnds += 2
+  }
+
+  /** Bring the order up to the graph in one merge (Algorithm 2). The black
+    * set is ΔV: the pending endpoints plus every vertex id the order lacks
+    * (including ids the dense id space forces into existence between old
+    * max and a new endpoint — they are isolated, weight-vsusp vertices that
+    * the merge places at their correct (weight, id) slot). New vertices are
+    * prepended to the sequence head (§4.1 vertex insertion) and marked
+    * black so the merge interleaves them exactly as a static re-peel would.
+    */
+  private def reorder(): ReorderStats = {
+    if (nPendingEnds == 0) return ReorderStats.zero
+    kernel.newEpoch(graph.numVertices)
+    var id = _order.length
+    while (id < graph.numVertices) {
+      _order.prepend(id, graph.vertexWeight(id))
+      kernel.markBlack(id)
+      id += 1
+    }
+    var i = 0
+    while (i < nPendingEnds) { kernel.markBlack(pendingEnds(i)); i += 1 }
+    nPendingEnds = 0
+    kernel.mergeBlacks(_order)
+  }
 
   // ------------------------------------------------------------------
   // Detection
@@ -210,103 +242,68 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
   /** Insert one edge and reorder the affected peeling subsequence (§4.1). */
   def insertEdge(t: Tx): ReorderStats = insertBatchEdges(Seq(t))
 
-  /** Insert a batch of edges and reorder once (Algorithm 2). The whole batch
-    * is validated first, edges and the priors of the vertices it creates, so
-    * a malformed edge or prior rejects it before any change.
+  /** Insert a batch of edges and reorder once (Algorithm 2), pending edges
+    * included. The whole batch is validated first, edges and the priors of
+    * the vertices it creates, so a malformed edge or prior rejects it
+    * before any change.
     */
   def insertBatchEdges(txs: Seq[Tx]): ReorderStats = {
     if (!loaded) { loadGraph(txs); return ReorderStats.zero }
-    val priors = validateAll(txs)
-    if (txs.isEmpty) return ReorderStats.zero
-    val oldN = graph.numVertices
-    addVertices(priors)
-
-    // Materialize the updates; the black set is ΔV = edge endpoints plus
-    // every new vertex id (including ids the dense id space forces into
-    // existence between old max and a new endpoint — they are isolated,
-    // weight-vsusp vertices that the merge will place at their correct
-    // (weight, id) slot). New vertices are prepended to the sequence head
-    // (§4.1 vertex insertion) and marked black so the merge interleaves
-    // them exactly as a static re-peel would.
-    kernel.newEpoch(graph.numVertices)
-    var id = oldN
-    while (id < graph.numVertices) {
-      _order.prepend(id, graph.vertexWeight(id))
-      kernel.markBlack(id)
-      id += 1
-    }
-    txs.foreach { t =>
-      addTx(t)
-      kernel.markBlack(t.src)
-      kernel.markBlack(t.dst)
-    }
-    kernel.mergeBlacks(_order)
+    addVertices(validateAll(txs))
+    txs.foreach(t => add(t, metric.esusp(t, graph)))
+    reorder()
   }
 
   /** Reject a transaction that the graph or the metric cannot take: a
     * negative id, a self-loop, or an edge weight that is not finite and
-    * positive. Runs before anything is mutated.
+    * positive. Runs before anything is mutated; returns the weight.
     */
-  private def validate(t: Tx): Unit = {
+  private def validate(t: Tx): Double = {
     require(t.src >= 0 && t.dst >= 0, s"vertex ids must be non-negative: $t")
     require(t.src != t.dst, s"self-loop rejected: $t")
     val c = metric.esusp(t, graph)
     require(c > 0 && !c.isInfinite, s"${metric.name} edge weight must be finite and positive, got $c for $t")
+    c
   }
 
   // ------------------------------------------------------------------
   // Edge grouping (§4.3)
   // ------------------------------------------------------------------
 
-  /** `w_u(S_0)` including buffered-but-unflushed contributions. */
-  private def w0(v: Int): Double = {
-    val base =
-      if (v < graph.numVertices) graph.incidentWeight(v)
-      else metric.vsusp(v, graph)
-    base + pendingInc.getOrElse(v, 0.0)
-  }
+  /** `w_u(S_0)`: `u`'s weight in the whole graph, pending edges included. */
+  private def w0(u: Int): Double =
+    if (u < graph.numVertices) graph.incidentWeight(u) else metric.vsusp(u, graph)
 
   /** Definition 4.1: an edge is benign iff *both* endpoints satisfy
     * `w_u(S_0) + c < g(S^P)` — it can then neither join nor improve the
     * densest community (Lemmas 4.3 / 4.4). Urgent edges are everything else.
     */
-  def isBenign(t: Tx): Boolean = {
-    val c = metric.esusp(t, graph)
-    w0(t.src) + c < cachedDensity && w0(t.dst) + c < cachedDensity
-  }
+  def isBenign(t: Tx): Boolean = benign(t, metric.esusp(t, graph))
 
-  /** Buffered insertion: `t` joins the buffer, and when the policy says so
-    * the whole buffer goes through one batch reorder and the community is
-    * re-detected (grouping's next urgency test reads that density). Returns
-    * the reorder stats when a flush happened.
+  private def benign(t: Tx, c: Double): Boolean =
+    w0(t.src) + c < cachedDensity && w0(t.dst) + c < cachedDensity
+
+  /** Grouped insertion: `t`'s edge enters the graph now, and when the
+    * policy says so every pending edge goes through one batch reorder and
+    * the community is re-detected (grouping's next urgency test reads that
+    * density). Returns the reorder stats when a flush happened.
     */
   def insertGrouped(t: Tx): Option[ReorderStats] = {
     require(loaded, "call loadGraph before grouped insertion")
-    validate(t)
-    priorsUpTo(math.max(t.src, t.dst)) // checks the priors of the ids `t` creates
-    pendingTxs += t
+    val c = validate(t)
+    addVertices(priorsUpTo(math.max(t.src, t.dst)))
     val flush = policy match {
-      case FlushPolicy.Every(n)     => pendingTxs.length >= n
-      case FlushPolicy.Grouped(cap) => !isBenign(t) || pendingTxs.length >= cap
+      case FlushPolicy.Every(n) => pendingCount + 1 >= n
+      case FlushPolicy.Grouped  => !benign(t, c)
     }
-    if (flush) {
-      Some(flushPending())
-    } else {
-      val c = metric.esusp(t, graph)
-      pendingC += c
-      pendingInc(t.src) = pendingInc.getOrElse(t.src, 0.0) + c
-      pendingInc(t.dst) = pendingInc.getOrElse(t.dst, 0.0) + c
-      None
-    }
+    add(t, c)
+    if (flush) Some(flushPending()) else None
   }
 
-  /** Flush the buffer through one batch reorder and re-detect. */
+  /** Reorder every pending edge in one batch and re-detect. */
   def flushPending(): ReorderStats = {
-    if (pendingTxs.isEmpty) return ReorderStats.zero
-    val stats = insertBatchEdges(pendingTxs.toSeq)
-    pendingTxs.clear()
-    pendingC.clear()
-    pendingInc.clear()
+    if (nPendingEnds == 0) return ReorderStats.zero
+    val stats = reorder()
     detect()
     stats
   }
@@ -315,13 +312,15 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
   // Edge deletion (Appendix C.1 extension)
   // ------------------------------------------------------------------
 
-  /** Delete one occurrence of (src, dst) and repair the sequence.
+  /** Delete one occurrence of (src, dst) and repair the sequence. Pending
+    * edges are reordered first, so a still-pending edge is deleted like any
+    * other.
     *
     * The cut is the first index `j` in `[start, pi]` whose stored `Δ_j` is
     * at least `B`, where `pi` is the earlier endpoint's index and
     * `B = min(B_src, B_dst)`, `B_u = w'_u(S_pi)` being endpoint `u`'s
-    * post-deletion weight against the vertices at or after `pi`. One
-    * binary search over the order's running block max, then one block.
+    * post-deletion weight against the vertices at or after `pi`. One walk
+    * over the order's running block max, then one block.
     *
     * Why the prefix before the cut stays: for `j < pi` both endpoints are in
     * `S_j`, and the deletion changes only their weights. Weights are
@@ -344,56 +343,25 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     * The density of the new community is computed (grouping's urgency test
     * reads it); its members only when `community` is read.
     *
-    * When the graph holds no `(src, dst)` but the grouping buffer does, the
-    * latest buffered occurrence is dropped instead (with its share of the
-    * pending endpoint weights) and the order is left as it is.
-    *
     * Returns None when the edge does not exist.
     */
   def deleteEdge(src: Int, dst: Int): Option[ReorderStats] = {
     require(loaded, "call loadGraph before deletion")
+    reorder()
     val w = graph.removeEdge(src, dst)
-    if (w.isNaN) return if (dropPending(src, dst)) Some(ReorderStats.zero) else None
+    if (w.isNaN) return None
 
-    val pi = math.min(_order.posOf(src), _order.posOf(dst))
-    val b = math.min(weightFrom(src, pi), weightFrom(dst, pi))
-    val cut = _order.firstAtLeast(b, pi)
+    val first = if (_order.posOf(src) <= _order.posOf(dst)) src else dst
+    val pi = _order.posOf(first)
+    val atOrAfterPi: Int => Boolean = x => _order.posOf(x) >= pi
+    val b = math.min(graph.peelWeight(src)(atOrAfterPi), graph.peelWeight(dst)(atOrAfterPi))
+    val cut = _order.firstAtLeast(b, _order.locOf(first))
 
     kernel.newEpoch(graph.numVertices)
     val stats = kernel.mergeHoisted(_order, cut, src, dst)
     cachedDensity = _order.density()
     lastCommunity = null
     Some(stats)
-  }
-
-  /** Drop the latest buffered `(src, dst)` and take back its `pendingInc`
-    * share; false when none is buffered.
-    */
-  private def dropPending(src: Int, dst: Int): Boolean = {
-    val i = pendingTxs.lastIndexWhere(t => t.src == src && t.dst == dst)
-    if (i < 0) return false
-    pendingTxs.remove(i)
-    val c = pendingC.remove(i)
-    pendingInc(src) -= c
-    pendingInc(dst) -= c
-    true
-  }
-
-  /** Peel weight of `u` against the vertices at or after index `from`. */
-  private def weightFrom(u: Int, from: Int): Double = {
-    graph.checkVertex(u)
-    val w = sumFrom(graph.outNbrs(u), graph.outWts(u), graph.outCount(u), from, graph.vertexWeight(u))
-    sumFrom(graph.inNbrs(u), graph.inWts(u), graph.inCount(u), from, w)
-  }
-
-  private def sumFrom(nbrs: Array[Int], ws: Array[Double], cnt: Int, from: Int, w0: Double): Double = {
-    var w = w0
-    var i = 0
-    while (i < cnt) {
-      if (_order.posOf(nbrs(i)) >= from) w += ws(i)
-      i += 1
-    }
-    w
   }
 }
 

@@ -43,7 +43,7 @@ final class SpotRecord {
   *    inserted — we only account, so every mode sees the same final graph.
   *
   * Every incremental mode is one loop over `Spade.insertGrouped`; the
-  * Spade's `FlushPolicy` decides when the buffer flushes (`Every(n)` for
+  * Spade's `FlushPolicy` decides when pending edges flush (`Every(n)` for
   * the `IncX-batch` rows, `Grouped` for the `IncXG` rows).
   */
 object StreamReplay {
@@ -119,10 +119,10 @@ object StreamReplay {
   }
 
   /** Replay `increments` in arrival order through `spade`, which must be
-    * loaded with an empty buffer; its `FlushPolicy` decides when edges
+    * loaded with no pending edges; its `FlushPolicy` decides when edges
     * flush. One timing rule for every policy: maintenance is the call that
     * flushed, detect is the spotting walk after it, and the flushed edges
-    * complete once both are done. The edges still buffered at the end flush
+    * complete once both are done. The edges still pending at the end flush
     * at the last arrival.
     */
   def replay(spade: Spade, increments: Seq[Tx], spotBeta: Double = DefaultSpotBeta): ReplayResult =

@@ -9,10 +9,11 @@ class EdgeGroupingSpec extends AnyFunSuite {
   /** A graph with one clear dense community {8,9,10} (density 4) and a
     * benign fringe of weight-1 pendant edges.
     */
-  private def fringeAndCore(policy: FlushPolicy = FlushPolicy.Grouped()): Spade = {
+  private def fringeAndCore(policy: FlushPolicy = FlushPolicy.Grouped,
+                            metric: Suspiciousness = Suspiciousness.DW): Spade = {
     val core = Seq(Tx(8, 9, 4.0), Tx(9, 10, 4.0), Tx(10, 8, 4.0))
     val fringe = (0 until 8).map(i => Tx(i, (i + 1) % 8, 0.5))
-    loadedSpade(Suspiciousness.DW, fringe ++ core, policy)
+    loadedSpade(metric, fringe ++ core, policy)
   }
 
   test("a tiny edge between fringe vertices is benign") {
@@ -66,7 +67,7 @@ class EdgeGroupingSpec extends AnyFunSuite {
     }
   }
 
-  test("benign edges buffer; the state is unchanged until a flush") {
+  test("benign edges enter the graph; the order is unchanged until a flush") {
     val spade = fringeAndCore()
     val before = spade.order.toVertexSeq
     val r1 = spade.insertGrouped(Tx(0, 2, 0.1))
@@ -74,7 +75,7 @@ class EdgeGroupingSpec extends AnyFunSuite {
     assert(r1.isEmpty && r2.isEmpty)
     assert(spade.pendingCount == 2)
     assert(spade.order.toVertexSeq == before)
-    assert(spade.graph.numEdges == 11) // still unflushed
+    assert(spade.graph.numEdges == 13) // in the graph, not yet in the order
   }
 
   test("an urgent edge flushes the whole buffer at once") {
@@ -97,39 +98,45 @@ class EdgeGroupingSpec extends AnyFunSuite {
     assertMatchesStatic(spade, "explicit flush")
   }
 
-  test("deleting a still-buffered edge drops it from the buffer, not the graph") {
+  test("deleting a still-pending edge reorders first, then deletes it like any other") {
     val spade = fringeAndCore()
-    val before = spade.order.toVertexSeq
     // w0(0) = 1.0: a 2.9 edge at vertex 0 is benign, unless 0.5 more is pending
     val probe = Tx(0, 3, 2.9)
     assert(spade.isBenign(probe))
     assert(spade.insertGrouped(Tx(0, 2, 0.5)).isEmpty)
     assert(spade.insertGrouped(Tx(4, 6, 0.1)).isEmpty)
     assert(!spade.isBenign(probe))
-    assert(spade.deleteEdge(0, 2) == Some(ReorderStats.zero))
-    assert(spade.pendingCount == 1)
-    assert(spade.isBenign(probe), "the deleted edge's pending weight was not taken back")
-    assert(spade.order.toVertexSeq == before)
-    assert(spade.deleteEdge(0, 2).isEmpty) // nothing left to delete
-    spade.flushPending()
+    assert(spade.deleteEdge(0, 2).isDefined)
     assert(spade.pendingCount == 0 && spade.graph.numEdges == 12)
-    assertMatchesStatic(spade, "flush after deleting a buffered edge")
+    assert(spade.isBenign(probe), "the deleted edge's weight still counts")
+    assertMatchesStatic(spade, "after deleting a pending edge")
+    assert(spade.deleteEdge(0, 2).isEmpty) // nothing left to delete
+  }
+
+  test("insertGrouped evaluates esusp once per edge, its flush included") {
+    final class Counting(m: Suspiciousness) extends Suspiciousness {
+      var calls = 0
+      def name: String = m.name
+      def vsusp(u: Int, g: DynGraph): Double = m.vsusp(u, g)
+      def esusp(tx: Tx, g: DynGraph): Double = { calls += 1; m.esusp(tx, g) }
+    }
+    // two benign edges, an urgent one at the core, a new vertex, then an explicit flush
+    val edges = Seq(Tx(0, 2, 0.1), Tx(1, 3, 0.1), Tx(0, 8, 2.0), Tx(4, 12, 0.1))
+    Suspiciousness.paperMetrics.foreach { m =>
+      val counting = new Counting(m)
+      val spade = fringeAndCore(metric = counting)
+      counting.calls = 0
+      val flushes = edges.count(t => spade.insertGrouped(t).isDefined)
+      spade.flushPending()
+      if (m eq Suspiciousness.DW) assert(flushes == 1, "the core edge did not flush")
+      assert(counting.calls == edges.length, s"${m.name}: ${counting.calls} esusp calls for ${edges.length} edges")
+      assertMatchesStatic(spade, m.name, exact = m ne Suspiciousness.FD)
+    }
   }
 
   test("flushPending on an empty buffer is a no-op") {
     val spade = fringeAndCore()
     assert(spade.flushPending() == ReorderStats.zero)
-  }
-
-  test("the flush cap forces a flush even without an urgent edge") {
-    val core = Seq(Tx(8, 9, 4.0), Tx(9, 10, 4.0), Tx(10, 8, 4.0))
-    val fringe = (0 until 8).map(i => Tx(i, (i + 1) % 8, 0.5))
-    val spade = new Spade(Suspiciousness.DW, FlushPolicy.Grouped(cap = 3))
-    spade.loadGraph(fringe ++ core)
-    assert(spade.insertGrouped(Tx(0, 2, 0.01)).isEmpty)
-    assert(spade.insertGrouped(Tx(1, 3, 0.01)).isEmpty)
-    assert(spade.insertGrouped(Tx(2, 4, 0.01)).isDefined) // cap reached
-    assert(spade.pendingCount == 0)
   }
 
   test("Every(3) flushes on the third edge, benign or urgent alike") {
@@ -151,7 +158,7 @@ class EdgeGroupingSpec extends AnyFunSuite {
 
   test("stacked benign edges on one vertex eventually become urgent") {
     val spade = fringeAndCore()
-    // each individually small, but the pending accounting accumulates until
+    // each individually small, but pending edges count in w0 until
     // w0 + c crosses the community density
     var flushed = false
     var i = 0
@@ -160,25 +167,54 @@ class EdgeGroupingSpec extends AnyFunSuite {
       i += 1
     }
     assert(flushed, "accumulated benign edges never turned urgent")
-    assert(i <= 8, s"took $i edges — pending accounting not applied")
+    assert(i <= 8, s"took $i edges — pending edges not counted in w0")
   }
 
   test("grouped replay ends in the same graph and community as plain batch") {
-    val base = randomTxs(20, 60, 8)
+    // A sparse fringe around a dense block, so that updates among the
+    // fringe are often benign; ids 52-55 are new.
+    val block = for (a <- 40 until 52; b <- 40 until 52 if a < b) yield Tx(a, b, 6.0)
+    val base = randomTxs(40, 40, 8) ++ block
     val rng = new scala.util.Random(8)
-    val updates = (0 until 30).map { i =>
-      val a = rng.nextInt(24); var b = rng.nextInt(24)
-      while (b == a) b = rng.nextInt(24)
-      Tx(a, b, (1 + rng.nextInt(50)) * 0.25, ts = i.toDouble)
+    val updates = (0 until 48).map { i =>
+      val a = rng.nextInt(56); var b = rng.nextInt(56)
+      while (b == a) b = rng.nextInt(56)
+      Tx(a, b, (1 + rng.nextInt(8)) * 0.25, ts = i.toDouble)
     }
-    val grouped = loadedSpade(Suspiciousness.DW, base)
-    updates.foreach(grouped.insertGrouped)
-    grouped.flushPending()
-    val plain = loadedSpade(Suspiciousness.DW, base)
-    plain.insertBatchEdges(updates)
-    assert(grouped.graph.numEdges == plain.graph.numEdges)
-    assert(grouped.order.toVertexSeq == plain.order.toVertexSeq)
-    assert(math.abs(grouped.detect().density - plain.detect().density) < 1e-9)
+    Suspiciousness.paperMetrics.foreach { metric =>
+      val grouped = loadedSpade(metric, base)
+      val plain = loadedSpade(metric, base)
+      val batch = scala.collection.mutable.ArrayBuffer.empty[Tx]
+      var reordered = -1 // updates up to this index are in grouped's order
+      var (pendingDeletes, reorderedDeletes) = (0, 0)
+      updates.zipWithIndex.foreach { case (t, i) =>
+        if (grouped.insertGrouped(t).isDefined) reordered = i
+        batch += t
+        if (i % 4 == 3) {
+          // every other delete takes the newest update, the rest one from
+          // before the last delete, which that delete reordered
+          val j = if (i % 8 == 3) i else i - 5
+          if (j > reordered) pendingDeletes += 1 else reorderedDeletes += 1
+          val victim = updates(j)
+          plain.insertBatchEdges(batch.toSeq)
+          batch.clear()
+          val clue = s"${metric.name}: delete of update $j after update $i"
+          assert(grouped.deleteEdge(victim.src, victim.dst).isDefined, clue)
+          assert(plain.deleteEdge(victim.src, victim.dst).isDefined, clue)
+          reordered = i
+        }
+      }
+      grouped.flushPending()
+      plain.insertBatchEdges(batch.toSeq)
+      val clue = s"${metric.name}: $pendingDeletes pending and $reorderedDeletes reordered deletes"
+      assert(pendingDeletes > 0 && reorderedDeletes > 0, clue)
+      assert(grouped.graph.numEdges == plain.graph.numEdges, clue)
+      val exact = metric ne Suspiciousness.FD
+      assertMatchesStatic(grouped, s"grouped, $clue", exact)
+      assertMatchesStatic(plain, s"plain, $clue", exact)
+      if (exact) assert(grouped.order.toVertexSeq == plain.order.toVertexSeq, clue)
+      assert(math.abs(grouped.detect().density - plain.detect().density) < 1e-9, clue)
+    }
   }
 
   test("urgent edges from a fresh fraud burst trigger immediate flushes") {

@@ -55,7 +55,7 @@ class StreamReplaySpec extends AnyFunSuite {
 
   test("grouped replay reacts to the burst at least as fast as batch-1K") {
     val (init, inc) = streamWithBurst()
-    val grouped = replay(init, inc, FlushPolicy.Grouped())
+    val grouped = replay(init, inc, FlushPolicy.Grouped)
     val batched = replay(init, inc, FlushPolicy.Every(1000))
     assert(grouped.preventionRatio >= batched.preventionRatio - 1e-9,
       s"grouped ${grouped.preventionRatio} vs batched ${batched.preventionRatio}")
@@ -64,7 +64,7 @@ class StreamReplaySpec extends AnyFunSuite {
 
   test("grouped replay flushes at least once per urgent burst and drains fully") {
     val (init, inc) = streamWithBurst()
-    val r = replay(init, inc, FlushPolicy.Grouped())
+    val r = replay(init, inc, FlushPolicy.Grouped)
     assert(r.flushes >= 1)
     assert(r.edges == inc.length)
   }
@@ -83,7 +83,7 @@ class StreamReplaySpec extends AnyFunSuite {
     // (Table 5); here we check the metric is well-defined everywhere.
     val (init, inc) = streamWithBurst()
     val st = StreamReplay.replayStatic(Suspiciousness.DW, init, inc)
-    val gr = replay(init, inc, FlushPolicy.Grouped())
+    val gr = replay(init, inc, FlushPolicy.Grouped)
     val ba = replay(init, inc, FlushPolicy.Every(1000))
     Seq(st, gr, ba).foreach { r =>
       assert(r.preventionRatio >= 0.0 && r.preventionRatio <= 1.0)
@@ -120,7 +120,7 @@ class StreamReplaySpec extends AnyFunSuite {
     val (init, inc) = streamWithBurst()
     val offline = loadedSpade(Suspiciousness.DW, init)
     offline.insertBatchEdges(inc)
-    Seq(FlushPolicy.Every(9), FlushPolicy.Grouped()).foreach { policy =>
+    Seq(FlushPolicy.Every(9), FlushPolicy.Grouped).foreach { policy =>
       val replayed = loadedSpade(Suspiciousness.DW, init, policy)
       StreamReplay.replay(replayed, inc)
       assert(replayed.pendingCount == 0, s"$policy")
@@ -132,7 +132,7 @@ class StreamReplaySpec extends AnyFunSuite {
 
   test("every policy times the spotting walk and counts it in latency") {
     val (init, inc) = streamWithBurst()
-    Seq(FlushPolicy.Every(1), FlushPolicy.Every(7), FlushPolicy.Grouped()).foreach { policy =>
+    Seq(FlushPolicy.Every(1), FlushPolicy.Every(7), FlushPolicy.Grouped).foreach { policy =>
       val r = replay(init, inc, policy)
       assert(r.flushes > 0 && r.detectNanos > 0, s"$policy: ${r.flushes} flushes, detect ${r.detectNanos} ns")
       // an edge waits at least its flush's maintenance and detect time

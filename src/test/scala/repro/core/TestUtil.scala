@@ -31,7 +31,7 @@ object TestUtil {
 
   /** Build a Spade over `txs` with `metric`, fully loaded. */
   def loadedSpade(metric: Suspiciousness, txs: Seq[Tx],
-                  policy: FlushPolicy = FlushPolicy.Grouped()): Spade = {
+                  policy: FlushPolicy = FlushPolicy.Grouped): Spade = {
     val s = new Spade(metric, policy)
     s.loadGraph(txs)
     s
