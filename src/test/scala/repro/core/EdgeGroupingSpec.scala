@@ -98,7 +98,10 @@ class EdgeGroupingSpec extends AnyFunSuite {
     assertMatchesStatic(spade, "explicit flush")
   }
 
-  test("deleting a still-pending edge reorders first, then deletes it like any other") {
+  test("deleting a still-buffered edge drops it from the buffer, not the graph") {
+    // A buffered edge is already in the graph, so the delete empties the buffer by
+    // reordering it first; the other buffered edge (4, 6) stays in the graph, and the
+    // deleted one then leaves it like any other edge.
     val spade = fringeAndCore()
     // w0(0) = 1.0: a 2.9 edge at vertex 0 is benign, unless 0.5 more is pending
     val probe = Tx(0, 3, 2.9)
