@@ -6,7 +6,8 @@ package repro.core
   *
   * Design notes:
   *  - Vertices are dense ints `0 .. numVertices-1`; `ensureVertex` grows the
-  *    id space. Isolated vertices are legal (weight-0 peel-first noise).
+  *    id space, with head room (`Growth`). Isolated vertices are legal
+  *    (weight-0 peel-first noise).
   *  - Parallel edges are allowed (a transaction graph has repeat purchases);
   *    the density metric sums every edge's weight, so the adjacency simply
   *    stores one entry per insertion.
@@ -52,7 +53,7 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
   def ensureVertex(id: Int): Unit = {
     require(id >= 0, "vertex ids must be non-negative")
     if (id >= cap) {
-      val newCap = math.max(cap * 2, id + 1)
+      val newCap = Growth.capacity(cap, id + 1)
       a      = java.util.Arrays.copyOf(a, newCap)
       inc    = java.util.Arrays.copyOf(inc, newCap)
       outCnt = java.util.Arrays.copyOf(outCnt, newCap)
@@ -194,5 +195,20 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
     i = 0
     while (i < ic) { if (active(nn(i))) w += nw(i); i += 1 }
     w
+  }
+}
+
+/** The one growth rule of the arrays indexed by vertex id: `DynGraph`'s,
+  * `PeelOrder`'s locations, the merge kernel's marks and the heap's
+  * positions. An array that must hold `need` ids grows to
+  * `max(2·old, need + need/4)`, so an array sized at a bulk load (`old` =
+  * 0) keeps a quarter of head room: the first new accounts after a load
+  * copy nothing, and a stream that keeps adding ids still grows
+  * geometrically.
+  */
+private[core] object Growth {
+  def capacity(old: Int, need: Int): Int = {
+    val grown = math.max(2L * old, need + (need >> 2).toLong)
+    math.max(need, math.min(grown, Int.MaxValue - 8L).toInt) // the JVM's largest array
   }
 }

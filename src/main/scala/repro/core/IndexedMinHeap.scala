@@ -37,13 +37,17 @@ final class IndexedMinHeap(initialCapacity: Int = 16) {
     a
   }
 
-  /** Grow internal arrays so `id` is addressable and one more entry fits. */
-  private def ensureId(id: Int): Unit = {
-    if (id >= pos.length) {
-      val newPos = absent(math.max(pos.length * 2, id + 1))
+  /** Make ids `0 until n` addressable (`Growth`'s rule). */
+  def reserve(n: Int): Unit =
+    if (n > pos.length) {
+      val newPos = absent(Growth.capacity(pos.length, n))
       System.arraycopy(pos, 0, newPos, 0, pos.length)
       pos = newPos
     }
+
+  /** Grow internal arrays so `id` is addressable and one more entry fits. */
+  private def ensureId(id: Int): Unit = {
+    reserve(id + 1)
     if (n >= ids.length) {
       val cap = math.max(ids.length * 2, n + 1)
       ids = java.util.Arrays.copyOf(ids, cap)

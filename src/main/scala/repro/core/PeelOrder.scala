@@ -60,7 +60,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
   private var startIdx = 0
   private var endIdx = 0
 
-  private var loc: Array[Int] = Array.fill(math.max(1, maxVertexId + 1))(-1)
+  private var loc: Array[Int] = Array.fill(Growth.capacity(0, math.max(1, maxVertexId + 1)))(-1)
 
   // bRun is exact for every block before `runFrom` (all of them when -1).
   // Blocks with labels in [label(runFrom), runTo] changed since; past them
@@ -118,10 +118,10 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     touch(b)
   }
 
-  /** Grow the vertex-id space of `posOf` (new ids map to -1). */
+  /** Grow the vertex-id space of `posOf` (new ids map to -1; `Growth`'s rule). */
   def ensureVertex(id: Int): Unit =
     if (id >= loc.length) {
-      val np = new Array[Int](math.max(loc.length * 2, id + 1))
+      val np = new Array[Int](Growth.capacity(loc.length, id + 1))
       java.util.Arrays.fill(np, -1)
       System.arraycopy(loc, 0, np, 0, loc.length)
       loc = np
@@ -628,7 +628,8 @@ object PeelOrder {
   private val MaxLabel = 1L << 52
 
   /** Build an order from parallel vertex/weight arrays (head first), in full
-    * blocks. `maxVertexId` sizes the position index.
+    * blocks. `maxVertexId` sizes the position index, with `Growth`'s head
+    * room.
     */
   def fromArrays(vs: Array[Int], ws: Array[Double], maxVertexId: Int): PeelOrder = {
     require(vs.length == ws.length, "vertex/weight arrays must align")

@@ -14,14 +14,26 @@ package repro.core
   * re-scan, when it holds no black, gray or hoisted entry and its max `Δ`
   * is strictly below the heap's min key: every entry of it is then a white
   * that Case 1 cannot interrupt, so it keeps its place and only its dense
-  * base moves. Black, gray and hoisted entries stamp their block with the
-  * epoch as they arise; a stamp is sticky, which only ever sends a block
-  * back to the per-entry path. Any other block the scan enters is rewritten
-  * once: the rest go through the merge, and where a window ends the unread
-  * rest of the block moves to its front. An insertion window writes its
-  * first block in place (insertion never emits ahead of the read cursor),
-  * and keeps filling it once the scan has left it; a deletion window copies
-  * that block's entries before the window out first.
+  * base moves. Any other block the scan enters is rewritten once: the rest
+  * go through the merge, and where a window ends the unread rest of the
+  * block moves to its front.
+  *
+  * Stamps are per slot. Invariant: every black, gray or hoisted vertex
+  * ahead of the frontier has its slot stamped (`stamp`: a black's slot when
+  * the merge starts, a neighbour ahead of the frontier when `recover` grays
+  * it, a hoisted vertex's old slot), and no unread slot moves without a
+  * restamp (`close`'s compaction stamps every slot of a stamped block it
+  * compacts). An unstamped slot therefore holds a white, which the scan
+  * emits, or lets a pop go first, with no read of the per-vertex marks; a
+  * stamped one takes the mark tests of Cases 1–2. A stamp is sticky (a gray
+  * whose count falls back to 0 stays stamped), which only ever sends an
+  * entry through the mark tests. A block with no stamped slot is a
+  * candidate for the step-over above.
+  *
+  * An insertion window writes its first block in place (insertion never
+  * emits ahead of the read cursor), and keeps filling it once the scan has
+  * left it; a deletion window copies that block's entries before the window
+  * out first.
   *
   * Insertion only raises weights, so a vertex never pops before the scan
   * reaches its slot. A hoisted vertex can: it is *emitted early*, and its
@@ -58,8 +70,11 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   private var blacks = new Array[Long](16)
   private var nBlacks = 0
   // blockStamp(b) == epoch: block b holds a black, gray or hoisted entry
-  // ahead of the frontier, so it cannot be stepped over.
+  // ahead of the frontier, so it cannot be stepped over; then bit `l & 63`
+  // of slotBits(l >>> 6) says whether slot `l` (packed location) is stamped.
+  // The four words of a block are cleared by its first stamp of an epoch.
   private var blockStamp = new Array[Int](16)
+  private var slotBits = new Array[Long](4 * 16)
 
   // ---- state of the running merge ----
   private var order: PeelOrder = _
@@ -82,6 +97,7 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   private var ahead = 0         // hoisted vertices whose old entry the scan has not read
   private var stepped = 0
   private var written = 0L
+  private var markReads = 0
 
   /** Entries the last merge stepped over (part of `emitted`). */
   private[core] def lastSteppedOver: Int = stepped
@@ -89,17 +105,47 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   /** Entries the last merge wrote into blocks. */
   private[core] def lastWritten: Long = written
 
-  /** Start an update over vertex ids `0 until n`: no vertex is black or gray. */
-  def newEpoch(n: Int): Unit = {
-    epoch += 1
-    nBlacks = 0
+  /** Slots the last merge stamped (a restamped block counts all 256). */
+  private[core] def lastStamped: Int = {
+    var n = 0
+    var b = 0
+    while (b < blockStamp.length) {
+      if (blockStamp(b) == epoch) {
+        var i = b << 2
+        while (i < (b << 2) + 4) { n += java.lang.Long.bitCount(slotBits(i)); i += 1 }
+      }
+      b += 1
+    }
+    n
+  }
+
+  /** Entries the last merge read through the per-vertex mark tests. */
+  private[core] def lastMarkReads: Int = markReads
+
+  /** Size the per-vertex scratch and the heap for ids `0 until n`, and the
+    * stamps for blocks `0 until blocks`.
+    */
+  def reserve(n: Int, blocks: Int): Unit = {
     if (n > grayEpoch.length) {
-      val cap = math.max(grayEpoch.length * 2, n)
+      val cap = Growth.capacity(grayEpoch.length, n)
       grayEpoch = java.util.Arrays.copyOf(grayEpoch, cap)
       grayCnt   = java.util.Arrays.copyOf(grayCnt, cap)
       blackMark = java.util.Arrays.copyOf(blackMark, cap)
       aheadMark = java.util.Arrays.copyOf(aheadMark, cap)
+      heap.reserve(n) // its positions start at 16 too, so they grow in step
     }
+    if (blocks > blockStamp.length) {
+      val cap = Growth.capacity(blockStamp.length, blocks)
+      blockStamp = java.util.Arrays.copyOf(blockStamp, cap)
+      slotBits = java.util.Arrays.copyOf(slotBits, 4 * cap)
+    }
+  }
+
+  /** Start an update over vertex ids `0 until n`: no vertex is black or gray. */
+  def newEpoch(n: Int): Unit = {
+    epoch += 1
+    nBlacks = 0
+    reserve(n, 0)
   }
 
   /** Mark `v` black: it enters the heap when the scan reaches its slot. */
@@ -147,8 +193,7 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   private def begin(o: PeelOrder): Unit = {
     heap.clear()
     order = o
-    if (blockStamp.length < o.blockCapacity)
-      blockStamp = java.util.Arrays.copyOf(blockStamp, math.max(blockStamp.length * 2, o.blockCapacity))
+    reserve(0, o.blockCapacity)
     ob = -1
     opened = false
     span = 0
@@ -157,10 +202,27 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     ahead = 0
     stepped = 0
     written = o.writes
+    markReads = 0
   }
 
-  /** The block of location `l` cannot be stepped over in this merge. */
-  @inline private def stamp(l: Int): Unit = blockStamp(l >>> BlockBits) = epoch
+  /** Stamp the slot at location `l`: its entry takes the mark tests, and
+    * its block cannot be stepped over in this merge.
+    */
+  @inline private def stamp(l: Int): Unit = {
+    val b = l >>> BlockBits
+    if (blockStamp(b) != epoch) {
+      blockStamp(b) = epoch
+      val w = b << 2
+      slotBits(w) = 0L; slotBits(w + 1) = 0L; slotBits(w + 2) = 0L; slotBits(w + 3) = 0L
+    }
+    slotBits(l >>> 6) |= 1L << l // the shift reads the low 6 bits: the slot within its word
+  }
+
+  @inline private def stamped(l: Int): Boolean =
+    blockStamp(l >>> BlockBits) == epoch && (slotBits(l >>> 6) & (1L << l)) != 0
+
+  /** Stamp every slot of block `b`, whose unread entries `close` moved. */
+  private def restamp(b: Int): Unit = java.util.Arrays.fill(slotBits, b << 2, (b << 2) + 4, -1L)
 
   /** Open a window at location `l`; the scan starts there. The entries of
     * its block before `l` stay in place (insertion: the block is the first
@@ -183,14 +245,19 @@ private[core] final class ReorderKernel(graph: DynGraph) {
       entered = true
     } else {
       entered = ks > 0
-      var s = 0
-      while (s < ks) {
-        if (ob < 0 || os == BlockSize) openOutput()
-        val n = math.min(ks - s, BlockSize - os)
-        val m = order.copyRun((kb << BlockBits) | s, (ob << BlockBits) | os, n)
-        if (m > obMax) obMax = m
-        os += n; wrPos += n; s += n
-      }
+      copyOut(0, ks)
+    }
+  }
+
+  /** Copy slots `[from, until)` of the frontier block to the output. */
+  private def copyOut(from: Int, until: Int): Unit = {
+    var s = from
+    while (s < until) {
+      if (ob < 0 || os == BlockSize) openOutput()
+      val n = math.min(until - s, BlockSize - os)
+      val m = order.copyRun((kb << BlockBits) | s, (ob << BlockBits) | os, n)
+      if (m > obMax) obMax = m
+      os += n; wrPos += n; s += n
     }
   }
 
@@ -221,22 +288,30 @@ private[core] final class ReorderKernel(graph: DynGraph) {
         val l = (kb << BlockBits) | ks
         val v = order.vAt(l)
         val kw = order.wAt(l)
-        if (aheadMark(v) == epoch) {
+        // An unstamped slot holds a white: none of the mark tests can hold.
+        val marked = stamped(l)
+        if (marked && aheadMark(v) == epoch) {
           // The old entry of a hoisted vertex (in the heap, or emitted
           // early): its stored Δ is stale and must not decide a pop.
           aheadMark(v) = 0
           ahead -= 1
+          markReads += 1
           advance()
         } else if (headBefore(v, kw)) {
           // Case 1: the pending head is the global minimum (Lemma 4.2)
           popHead()
-        } else if (blackMark(v) == epoch || isGray(v)) {
-          // Case 2(a): stored Δ_k may be stale — recover and enqueue
-          enterHeap(v)
-          advance()
+        } else if (!marked) {
+          // Case 2(b)/3 for the white here and the whites after it
+          emitRun()
         } else {
-          // Case 2(b)/3: white vertex, stored Δ_k is exact and minimal
-          emit(v, kw)
+          markReads += 1
+          if (blackMark(v) == epoch || isGray(v)) {
+            // Case 2(a): stored Δ_k may be stale — recover and enqueue
+            enterHeap(v)
+          } else {
+            // Case 2(b)/3: white vertex, stored Δ_k is exact and minimal
+            emit(v, kw)
+          }
           advance()
         }
       }
@@ -246,6 +321,27 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     written = order.writes - written
     order = null // `Spade.loadGraph` may replace the order between merges
     ReorderStats(scanFrom, scanTo, span, recovered, edgesTouched)
+  }
+
+  /** Emit the white at the frontier, which Case 1 does not interrupt,
+    * together with the unstamped entries after it in its block whose Δ is
+    * strictly below the heap's min key: they are whites, and no pop can
+    * come between them, so they go out in one copy (a lone white skips the
+    * copy's set-up).
+    */
+  private def emitRun(): Unit = {
+    val mk = heap.minKey
+    val base = kb << BlockBits
+    val size = order.sizeOf(kb)
+    var e = ks + 1
+    while (e < size && !stamped(base | e) && order.wAt(base | e) < mk) e += 1
+    if (e == ks + 1) emit(order.vAt(base | ks), order.wAt(base | ks))
+    else {
+      copyOut(ks, e)
+      span += e - ks - 1
+      ks = e - 1
+    }
+    advance()
   }
 
   /** The frontier entry was read: move past it, releasing its block once
@@ -438,8 +534,13 @@ private[core] final class ReorderKernel(graph: DynGraph) {
       while (go) {
         val examined = order.sizeOf(b) - from
         val dropped =
-          if (from > 0 || blockStamp(b) == epoch) order.compact(b, from, pos)
-          else { order.setBase(b, pos); 0 }
+          if (from > 0 || blockStamp(b) == epoch) {
+            val d = order.compact(b, from, pos)
+            // Compaction moved unread entries away from their stamps, and a
+            // later window of this insertion may read them.
+            if (blockStamp(b) == epoch) restamp(b)
+            d
+          } else { order.setBase(b, pos); 0 }
         if (dropped > 0) {
           extra = passed + order.lastDropEnd
           ahead -= dropped

@@ -119,7 +119,9 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     * run the static peeling once. Returns the initial community. The whole
     * load is validated first, edges and the priors of the vertices it
     * creates, so a malformed edge or prior rejects it before any change.
-    * The static peel takes in any pending edges, so none are left.
+    * The static peel takes in any pending edges, so none are left. The
+    * graph, the order and the merge kernel are sized for the loaded ids
+    * plus `Growth`'s head room, so the first new accounts copy no array.
     */
   def loadGraph(txs: IterableOnce[Tx]): Community = {
     val all = txs.iterator.toArray
@@ -128,6 +130,7 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     all.foreach(t => graph.addEdge(t.src, t.dst, metric.esusp(t, graph)))
     nPendingEnds = 0
     _order = StaticPeeling.peel(graph)
+    kernel.reserve(graph.numVertices, _order.blockCapacity)
     loaded = true
     detect()
   }
@@ -234,6 +237,12 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
 
   /** Entries the last merge wrote into blocks of the order (for tests). */
   private[core] def lastWritten: Long = kernel.lastWritten
+
+  /** Slots the last merge stamped (for tests). */
+  private[core] def lastStamped: Int = kernel.lastStamped
+
+  /** Entries the last merge read through the per-vertex mark tests (for tests). */
+  private[core] def lastMarkReads: Int = kernel.lastMarkReads
 
   // ------------------------------------------------------------------
   // Incremental insertion (§4.1 / §4.2)

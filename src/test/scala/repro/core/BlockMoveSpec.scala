@@ -47,6 +47,9 @@ class BlockMoveSpec extends AnyFunSuite {
     assert(st.emitted > 20 * 256, s"window ${st.emitted}")
     assert(spade.lastSteppedOver >= 0.8 * st.emitted,
       s"stepped over ${spade.lastSteppedOver} of ${st.emitted} entries")
+    // The whites of the blocks it rewrites take no mark test.
+    assert(spade.lastMarkReads <= spade.lastStamped,
+      s"${spade.lastMarkReads} mark reads, ${spade.lastStamped} stamped slots")
     assertSameAsStatic(spade, "far jump")
     assertMatchesStatic(spade, "far jump")
   }
@@ -61,6 +64,69 @@ class BlockMoveSpec extends AnyFunSuite {
     assert(st.emitted > 20 * 256, s"window ${st.emitted}")
     assert(spade.lastWritten <= 3 * 256, s"wrote ${spade.lastWritten} entries for a window of ${st.emitted}")
     assertSameAsStatic(spade, "far jump")
+  }
+
+  /** `n` disjoint DW edges `(2i, 2i + 1)` of amount `i + 1`. Their static
+    * order is vertex `p` at position `p`: `2i` with Δ `i + 1`, then `2i + 1`
+    * with Δ 0, in blocks of 256 positions.
+    */
+  private def pairs(n: Int): Seq[Tx] = (0 until n).map(i => Tx(2 * i, 2 * i + 1, i + 1.0))
+
+  /** The stamp counters of the last merge: every mark read is of a stamped slot. */
+  private def assertFewMarkReads(spade: Spade, atMost: Int, clue: String): Unit = {
+    assert(spade.lastMarkReads <= spade.lastStamped,
+      s"$clue: ${spade.lastMarkReads} mark reads, ${spade.lastStamped} stamped slots")
+    assert(spade.lastMarkReads <= atMost, s"$clue: ${spade.lastMarkReads} mark reads")
+  }
+
+  test("a gray neighbour deep inside a block that the scan enters at slot 0 takes the mark tests") {
+    // Vertex 100 is tied to vertex 700 (block 2, slot 188) by a light edge.
+    // A heavy edge to the tail makes 100 jump to the end: 700 turns gray,
+    // ahead of the frontier. Block 2 also holds the pair 600/601, black in
+    // the same batch, so it is entered from slot 0 whatever 700's stamp
+    // says; only the slot stamp sends 700, and then 701, to the heap.
+    val spade = loadedSpade(Suspiciousness.DW, pairs(600) :+ Tx(100, 700, 0.25))
+    assertSameAsStatic(spade, "loaded")
+    spade.insertBatchEdges(Seq(Tx(100, 1199, 1000.0), Tx(600, 601, 0.5)))
+    assertFewMarkReads(spade, 8, "gray in block 2")
+    assertSameAsStatic(spade, "gray in block 2")
+    assertMatchesStatic(spade, "gray in block 2")
+  }
+
+  test("two windows of one insertion in the same block, after close compacted it") {
+    // Window 1: the pair 100/101 rises to 301.5 and pops at position 602
+    // (block 2, slot 90), so the window closes there and block 2 keeps only
+    // its unread slots 90–255, moved to its front. Window 2 opens at 700
+    // (old slot 188) and reads the black pair 720/721 at slots 118/119;
+    // their stamps were set at slots 208/209 before the move.
+    val spade = loadedSpade(Suspiciousness.DW, pairs(600))
+    spade.insertBatchEdges(Seq(Tx(100, 101, 250.5), Tx(700, 1199, 1000.0), Tx(720, 721, 0.5)))
+    assertSameAsStatic(spade, "second window")
+    assert(spade.lastStamped >= 256, s"${spade.lastStamped} stamped slots: block 2 was not restamped")
+    assert(spade.lastMarkReads <= spade.lastStamped)
+    assertMatchesStatic(spade, "second window")
+    // And a second round on the order the first one left.
+    spade.insertBatchEdges(Seq(Tx(40, 41, 250.5), Tx(640, 1198, 1000.0), Tx(660, 661, 0.5)))
+    assertSameAsStatic(spade, "second round")
+    assertMatchesStatic(spade, "second round")
+  }
+
+  test("a delete whose hoisted vertices share blocks with whites reads only their stamped slots") {
+    // 300 (block 0) and 760 (block 2, slot 248) are tied by a light edge.
+    // Deleting it hoists both to the head; 300 pops early, overtaking 301,
+    // and every other entry of their blocks is a white.
+    val spade = loadedSpade(Suspiciousness.DW, pairs(600) :+ Tx(300, 760, 0.5))
+    assert(spade.deleteEdge(300, 760).isDefined)
+    assertFewMarkReads(spade, 8, "delete")
+    assertSameAsStatic(spade, "delete")
+    assertMatchesStatic(spade, "delete")
+    // Tie them again and delete once more, from the order the delete left.
+    spade.insertEdge(Tx(300, 760, 0.5))
+    assertSameAsStatic(spade, "re-insert")
+    assert(spade.deleteEdge(760, 300).isEmpty)
+    assert(spade.deleteEdge(300, 760).isDefined)
+    assertSameAsStatic(spade, "second delete")
+    assertMatchesStatic(spade, "second delete")
   }
 
   test("a merge right after a batch merge, with no detect between, reads the maxima of the blocks it rewrote") {

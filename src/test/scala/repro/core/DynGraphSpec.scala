@@ -18,6 +18,15 @@ class DynGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("arrays indexed by vertex id grow to max(2·old, need + need/4), within the JVM's array limit") {
+    assert(Growth.capacity(0, 100000) == 125000)     // sized at a load: a quarter of head room
+    assert(Growth.capacity(16, 100000) == 125000)
+    assert(Growth.capacity(125000, 125001) == 250000) // then geometric
+    assert(Growth.capacity(16, 1) == 32)
+    assert(Growth.capacity(1 << 30, (1 << 30) + 1) == Int.MaxValue - 8) // 2·old and need·5/4 overflow an Int
+    assert(Growth.capacity(0, Int.MaxValue) == Int.MaxValue)
+  }
+
   test("addEdge updates degrees, incident weights and totalF on both sides") {
     val g = new DynGraph()
     g.addEdge(0, 1, 2.5)

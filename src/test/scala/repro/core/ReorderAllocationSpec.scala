@@ -53,4 +53,30 @@ class ReorderAllocationSpec extends AnyFunSuite {
     }
     assertMatchesStatic(spade, "after the insert/delete rounds")
   }
+
+  test("the first two new accounts after a load copy no per-vertex array") {
+    val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    assume(bean.isThreadAllocatedMemorySupported && bean.isThreadAllocatedMemoryEnabled)
+    val tid = Thread.currentThread().getId
+    def allocated(f: => Unit): Long = {
+      val before = bean.getThreadAllocatedBytes(tid)
+      f
+      bean.getThreadAllocatedBytes(tid) - before
+    }
+    // Load the classes of the insert path on a small graph first.
+    val warm = loadedSpade(Suspiciousness.DW, randomTxs(300, 900, 2))
+    (0 until 3).foreach(i => warm.insertEdge(Tx(warm.graph.numVertices, i, 1.0)))
+
+    // `loadGraph` sizes the graph, the order's locations, the kernel's marks
+    // and its heap for the loaded ids plus a quarter; each array indexed by
+    // vertex id would take 80-160 KB here.
+    val spade = loadedSpade(Suspiciousness.DW, randomTxs(24000, 72000, 13))
+    val n = spade.graph.numVertices
+    assert(n >= 20000)
+    val first = allocated(spade.insertEdge(Tx(n, 0, 1.0)))
+    val second = allocated(spade.insertEdge(Tx(n + 1, 1, 2.0)))
+    assert(first < 64 * 1024, s"the first new account allocated $first bytes")
+    assert(second < 64 * 1024, s"the second new account allocated $second bytes")
+    assertMatchesStatic(spade, "two new accounts")
+  }
 }
