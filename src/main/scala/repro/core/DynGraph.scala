@@ -18,6 +18,9 @@ package repro.core
   *    stores the materialized weight per edge. This is what makes
   *    "incremental == static re-peel of the final weighted graph" an exact
   *    equivalence for every metric.
+  *  - Each vertex has one incidence list, out-edges first. The peel walks
+  *    (Eq. 2) read it whole; only the degree split, `removeEdge` and
+  *    `foreachIncidentOut` see direction.
   *  - `incidentWeight(u)` maintains `w_u(S_0) = a_u + Σ incident c` — the
   *    peeling weight against the full vertex set, used both to seed
   *    Algorithm 1 and for the benign-edge test of Definition 4.1.
@@ -28,12 +31,12 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
 
   private var a      = new Array[Double](cap) // vertex suspiciousness
   private var inc    = new Array[Double](cap) // a(u) + Σ incident edge weight
+  // One incidence list per vertex: out-edges in slots [0, outCnt), in-edges
+  // in [outCnt, cnt).
+  private var cnt    = new Array[Int](cap)
   private var outCnt = new Array[Int](cap)
-  private var inCnt  = new Array[Int](cap)
-  private var outNbr = new Array[Array[Int]](cap)
-  private var outW   = new Array[Array[Double]](cap)
-  private var inNbr  = new Array[Array[Int]](cap)
-  private var inW    = new Array[Array[Double]](cap)
+  private var nbr    = new Array[Array[Int]](cap)
+  private var wt     = new Array[Array[Double]](cap)
 
   private var nV = 0
   private var nE = 0L
@@ -56,12 +59,10 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
       val newCap = Growth.capacity(cap, id + 1)
       a      = java.util.Arrays.copyOf(a, newCap)
       inc    = java.util.Arrays.copyOf(inc, newCap)
+      cnt    = java.util.Arrays.copyOf(cnt, newCap)
       outCnt = java.util.Arrays.copyOf(outCnt, newCap)
-      inCnt  = java.util.Arrays.copyOf(inCnt, newCap)
-      outNbr = java.util.Arrays.copyOf(outNbr, newCap)
-      outW   = java.util.Arrays.copyOf(outW, newCap)
-      inNbr  = java.util.Arrays.copyOf(inNbr, newCap)
-      inW    = java.util.Arrays.copyOf(inW, newCap)
+      nbr    = java.util.Arrays.copyOf(nbr, newCap)
+      wt     = java.util.Arrays.copyOf(wt, newCap)
       cap = newCap
     }
     if (id >= nV) nV = id + 1
@@ -83,10 +84,10 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
   def incidentWeight(u: Int): Double = { checkVertex(u); inc(u) }
 
   def outDegree(u: Int): Int = { checkVertex(u); outCnt(u) }
-  def inDegree(u: Int): Int  = { checkVertex(u); inCnt(u) }
+  def inDegree(u: Int): Int  = { checkVertex(u); cnt(u) - outCnt(u) }
 
   /** Total (in + out) degree, counting parallel edges. */
-  def degree(u: Int): Int = outDegree(u) + inDegree(u)
+  def degree(u: Int): Int = { checkVertex(u); cnt(u) }
 
   // Throws what `require` would, but builds the message only on failure
   // (see `IndexedMinHeap.requirePresent`): the merge calls it per vertex.
@@ -95,30 +96,27 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
       throw new IllegalArgumentException(s"requirement failed: vertex $u out of range [0, $nV)")
 
   // Raw adjacency for the package's allocation-free walks (the reorder
-  // kernel and the static peel). No range check: a walk calls `checkVertex`
-  // once, then reads `outNbrs(u)(i)` / `outWts(u)(i)` for `i < outCount(u)`,
-  // and the same for in-edges. The arrays are null while the count is 0.
-  private[core] def outNbrs(u: Int): Array[Int]    = outNbr(u)
-  private[core] def outWts(u: Int): Array[Double]  = outW(u)
-  private[core] def outCount(u: Int): Int          = outCnt(u)
-  private[core] def inNbrs(u: Int): Array[Int]     = inNbr(u)
-  private[core] def inWts(u: Int): Array[Double]   = inW(u)
-  private[core] def inCount(u: Int): Int           = inCnt(u)
+  // kernel and the static peel), which need no direction: a walk calls
+  // `checkVertex` once, then reads `nbrs(u)(i)` / `wts(u)(i)` for
+  // `i < count(u)`. No range check; the arrays are null while the count is 0.
+  private[core] def nbrs(u: Int): Array[Int]   = nbr(u)
+  private[core] def wts(u: Int): Array[Double] = wt(u)
+  private[core] def count(u: Int): Int         = cnt(u)
 
-  private def append(nbrs: Array[Array[Int]], ws: Array[Array[Double]],
-                     cnts: Array[Int], u: Int, v: Int, w: Double): Unit = {
-    var arrN = nbrs(u); var arrW = ws(u)
-    val c = cnts(u)
-    if (arrN == null) {
-      arrN = new Array[Int](4); arrW = new Array[Double](4)
-      nbrs(u) = arrN; ws(u) = arrW
-    } else if (c == arrN.length) {
-      arrN = java.util.Arrays.copyOf(arrN, c * 2)
-      arrW = java.util.Arrays.copyOf(arrW, c * 2)
-      nbrs(u) = arrN; ws(u) = arrW
+  /** Make room in `u`'s list for one more edge. */
+  private def grow(u: Int): Unit = {
+    val c = cnt(u)
+    if (nbr(u) == null) {
+      nbr(u) = new Array[Int](4); wt(u) = new Array[Double](4)
+    } else if (c == nbr(u).length) {
+      nbr(u) = java.util.Arrays.copyOf(nbr(u), c * 2)
+      wt(u) = java.util.Arrays.copyOf(wt(u), c * 2)
     }
-    arrN(c) = v; arrW(c) = w
-    cnts(u) = c + 1
+  }
+
+  /** Copy slot `from` of `u`'s list into slot `to`. */
+  @inline private def move(u: Int, from: Int, to: Int): Unit = {
+    nbr(u)(to) = nbr(u)(from); wt(u)(to) = wt(u)(from)
   }
 
   /** Insert a directed edge with materialized suspiciousness `w > 0`. */
@@ -126,8 +124,15 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
     require(src != dst, s"self-loop on $src rejected")
     require(w > 0, s"edge weight must be positive, got $w")
     ensureVertex(src); ensureVertex(dst)
-    append(outNbr, outW, outCnt, src, dst, w)
-    append(inNbr, inW, inCnt, dst, src, w)
+    // An out-edge takes slot outCnt(src); the in-edge there moves to the end.
+    grow(src)
+    val o = outCnt(src)
+    move(src, o, cnt(src))
+    nbr(src)(o) = dst; wt(src)(o) = w
+    outCnt(src) = o + 1; cnt(src) += 1
+    grow(dst)
+    nbr(dst)(cnt(dst)) = src; wt(dst)(cnt(dst)) = w
+    cnt(dst) += 1
     inc(src) += w; inc(dst) += w
     sumC += w
     nE += 1
@@ -138,38 +143,38 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
     */
   def removeEdge(src: Int, dst: Int): Double = {
     checkVertex(src); checkVertex(dst)
-    val w = removeFrom(outNbr(src), outW(src), outCnt, src, dst, Double.NaN)
-    if (w.isNaN) return Double.NaN
-    // Parallel edges may carry different weights — the in-side removal must
-    // delete the occurrence with the *same* weight, or the two adjacency
-    // lists drift apart.
-    val w2 = removeFrom(inNbr(dst), inW(dst), inCnt, dst, src, w)
-    assert(!w2.isNaN, "adjacency lists out of sync")
+    val i = find(src, 0, outCnt(src), dst, Double.NaN)
+    if (i < 0) return Double.NaN
+    val w = wt(src)(i)
+    // Parallel edges may carry different weights: the in-side removal must
+    // delete the occurrence with the *same* weight, or the two sides drift
+    // apart.
+    val j = find(dst, outCnt(dst), cnt(dst), src, w)
+    assert(j >= 0, "adjacency lists out of sync")
+    // The last out-edge fills slot i, and the last in-edge fills its slot.
+    val o = outCnt(src) - 1
+    move(src, o, i)
+    move(src, cnt(src) - 1, o)
+    outCnt(src) = o; cnt(src) -= 1
+    move(dst, cnt(dst) - 1, j)
+    cnt(dst) -= 1
     inc(src) -= w; inc(dst) -= w
     sumC -= w
     nE -= 1
     w
   }
 
-  /** Remove the first entry matching `target` (and `weight`, unless NaN);
-    * returns the removed weight or NaN when absent.
+  /** The first slot of `owner`'s list in `[from, until)` that holds `target`
+    * (and `weight`, unless NaN), or -1.
     */
-  private def removeFrom(arrN: Array[Int], arrW: Array[Double],
-                         cnts: Array[Int], owner: Int, target: Int,
-                         weight: Double): Double = {
-    if (arrN == null) return Double.NaN
-    val c = cnts(owner)
-    var i = 0
-    while (i < c) {
-      if (arrN(i) == target && (weight.isNaN || arrW(i) == weight)) {
-        val w = arrW(i)
-        arrN(i) = arrN(c - 1); arrW(i) = arrW(c - 1)
-        cnts(owner) = c - 1
-        return w
-      }
+  private def find(owner: Int, from: Int, until: Int, target: Int, weight: Double): Int = {
+    val arrN = nbr(owner); val arrW = wt(owner)
+    var i = from
+    while (i < until) {
+      if (arrN(i) == target && (weight.isNaN || arrW(i) == weight)) return i
       i += 1
     }
-    Double.NaN
+    -1
   }
 
   /** Visit only the out-edges of `u` as `(dst, weight)` — lets callers count
@@ -177,7 +182,7 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
     */
   @inline def foreachIncidentOut(u: Int)(f: (Int, Double) => Unit): Unit = {
     checkVertex(u)
-    val on = outNbr(u); val ow = outW(u); val oc = outCnt(u)
+    val on = nbr(u); val ow = wt(u); val oc = outCnt(u)
     var i = 0
     while (i < oc) { f(on(i), ow(i)); i += 1 }
   }
@@ -188,12 +193,9 @@ final class DynGraph(initialVertexCapacity: Int = 16) {
   def peelWeight(u: Int)(active: Int => Boolean): Double = {
     checkVertex(u)
     var w = a(u)
-    val on = outNbr(u); val ow = outW(u); val oc = outCnt(u)
+    val ns = nbr(u); val ws = wt(u); val c = cnt(u)
     var i = 0
-    while (i < oc) { if (active(on(i))) w += ow(i); i += 1 }
-    val nn = inNbr(u); val nw = inW(u); val ic = inCnt(u)
-    i = 0
-    while (i < ic) { if (active(nn(i))) w += nw(i); i += 1 }
+    while (i < c) { if (active(ns(i))) w += ws(i); i += 1 }
     w
   }
 }

@@ -20,7 +20,7 @@ package repro.core
   *
   * Stamps are per slot. Invariant: every black, gray or hoisted vertex
   * ahead of the frontier has its slot stamped (`stamp`: a black's slot when
-  * the merge starts, a neighbour ahead of the frontier when `recover` grays
+  * the merge starts, a neighbour ahead of the frontier when `enterHeap` grays
   * it, a hoisted vertex's old slot), and no unread slot moves without a
   * restamp (`close`'s compaction stamps every slot of a stamped block it
   * compacts). An unstamped slot therefore holds a white, which the scan
@@ -144,9 +144,21 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   /** Start an update over vertex ids `0 until n`: no vertex is black or gray. */
   def newEpoch(n: Int): Unit = {
     epoch += 1
+    if (epoch == 0) {
+      // The counter wrapped to the value of every untouched mark: clear the
+      // marks once and restart at 1.
+      java.util.Arrays.fill(grayEpoch, 0)
+      java.util.Arrays.fill(blackMark, 0)
+      java.util.Arrays.fill(aheadMark, 0)
+      java.util.Arrays.fill(blockStamp, 0)
+      epoch = 1
+    }
     nBlacks = 0
     reserve(n, 0)
   }
+
+  /** Set the epoch counter, so that a test can run updates across its wrap. */
+  private[core] def setEpoch(e: Int): Unit = epoch = e
 
   /** Mark `v` black: it enters the heap when the scan reaches its slot. */
   def markBlack(v: Int): Unit =
@@ -426,23 +438,20 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     val early = aheadMark(v) == epoch
     emit(v, w)
     graph.checkVertex(v)
-    decrement(graph.outNbrs(v), graph.outWts(v), graph.outCount(v))
-    decrement(graph.inNbrs(v), graph.inWts(v), graph.inCount(v))
+    decrement(v)
     // The neighbours of an early-emitted `v` at or after the frontier still
     // count it in their stored Δ, so they are hoisted. They enter after the
     // decrements above: recovery already leaves `v` out (it is written
     // behind the frontier), so a parallel edge to `v` must not be
     // subtracted twice.
-    if (early) {
-      enterOvertaken(graph.outNbrs(v), graph.outCount(v))
-      enterOvertaken(graph.inNbrs(v), graph.inCount(v))
-    }
+    if (early) enterOvertaken(v)
   }
 
-  /** A popped vertex's edges `(nbrs(i), ws(i))`, `i < cnt`, leave the
-    * weights of the heap members and the gray counts of its neighbours.
+  /** A popped vertex's edges leave the weights of the heap members and the
+    * gray counts of its neighbours.
     */
-  private def decrement(nbrs: Array[Int], ws: Array[Double], cnt: Int): Unit = {
+  private def decrement(v: Int): Unit = {
+    val nbrs = graph.nbrs(v); val ws = graph.wts(v); val cnt = graph.count(v)
     var i = 0
     while (i < cnt) {
       val x = nbrs(i)
@@ -453,7 +462,8 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     edgesTouched += cnt
   }
 
-  private def enterOvertaken(nbrs: Array[Int], cnt: Int): Unit = {
+  private def enterOvertaken(v: Int): Unit = {
+    val nbrs = graph.nbrs(v); val cnt = graph.count(v)
     val fk = order.keyAt(kb, ks)
     var i = 0
     while (i < cnt) {
@@ -472,19 +482,9 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     enterHeap(v)
   }
 
-  /** Recover `v`'s peel weight against the active set and enqueue it. */
-  private def enterHeap(v: Int): Unit = {
-    val fk = order.keyAt(kb, ks)
-    var w = graph.vertexWeight(v)
-    w = recover(graph.outNbrs(v), graph.outWts(v), graph.outCount(v), w, fk)
-    w = recover(graph.inNbrs(v), graph.inWts(v), graph.inCount(v), w, fk)
-    recovered += 1
-    heap.insert(v, w)
-  }
-
-  /** Add to `w` the edges `(nbrs(i), ws(i))`, `i < cnt`, whose neighbour is
-    * still active, and gray every neighbour (stamping the block of one
-    * ahead of the frontier, whose order key is `fk`).
+  /** Recover `v`'s peel weight against the active set, its prior plus the
+    * edges whose neighbour is still active, and enqueue it. Grays every
+    * neighbour, and stamps the slot of one ahead of the frontier.
     *
     * A vertex is still *active* (unpeeled in the order being built) iff it
     * is pending in the heap, or it sits at/after the scan frontier. Emitted
@@ -492,8 +492,10 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     * ones in blocks the frontier passed, so one key test covers them all (a
     * heap member's location may be stale).
     */
-  private def recover(nbrs: Array[Int], ws: Array[Double], cnt: Int, w0: Double, fk: Long): Double = {
-    var w = w0
+  private def enterHeap(v: Int): Unit = {
+    var w = graph.vertexWeight(v)
+    val nbrs = graph.nbrs(v); val ws = graph.wts(v); val cnt = graph.count(v)
+    val fk = order.keyAt(kb, ks)
     var i = 0
     while (i < cnt) {
       val x = nbrs(i)
@@ -507,7 +509,8 @@ private[core] final class ReorderKernel(graph: DynGraph) {
       i += 1
     }
     edgesTouched += cnt
-    w
+    recovered += 1
+    heap.insert(v, w)
   }
 
   /** End the current window at the frontier, with the heap empty. The

@@ -41,7 +41,8 @@ object FlushPolicy {
   * sequence of an evolving transaction graph under a pluggable
   * suspiciousness metric, so `Detect` never recomputes from scratch.
   *
-  *  - `loadGraph`          — bulk load + one static peel (Algorithm 1)
+  *  - `loadGraph`          — bulk load + one static peel (Algorithm 1); a
+  *                           new Spade is empty and takes updates without it
   *  - `insertEdge`         — §4.1 single-edge peeling-sequence reordering
   *  - `insertBatchEdges`   — §4.2 Algorithm 2 (batch reordering; black /
   *                           gray / white coloring avoids stale work)
@@ -83,7 +84,6 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
   val graph = new DynGraph()
 
   private var _order: PeelOrder = PeelOrder.empty
-  private var loaded = false
 
   // The merge kernel and its reusable scratch (allocation-free steady state).
   private val kernel = new ReorderKernel(graph)
@@ -131,7 +131,6 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     nPendingEnds = 0
     _order = StaticPeeling.peel(graph)
     kernel.reserve(graph.numVertices, _order.blockCapacity)
-    loaded = true
     detect()
   }
 
@@ -244,6 +243,9 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
   /** Entries the last merge read through the per-vertex mark tests (for tests). */
   private[core] def lastMarkReads: Int = kernel.lastMarkReads
 
+  /** Set the merge kernel's epoch counter (for tests of its wrap). */
+  private[core] def setKernelEpoch(e: Int): Unit = kernel.setEpoch(e)
+
   // ------------------------------------------------------------------
   // Incremental insertion (§4.1 / §4.2)
   // ------------------------------------------------------------------
@@ -257,7 +259,6 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     * before any change.
     */
   def insertBatchEdges(txs: Seq[Tx]): ReorderStats = {
-    if (!loaded) { loadGraph(txs); return ReorderStats.zero }
     addVertices(validateAll(txs))
     txs.foreach(t => add(t, metric.esusp(t, graph)))
     reorder()
@@ -298,7 +299,6 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     * density). Returns the reorder stats when a flush happened.
     */
   def insertGrouped(t: Tx): Option[ReorderStats] = {
-    require(loaded, "call loadGraph before grouped insertion")
     val c = validate(t)
     addVertices(priorsUpTo(math.max(t.src, t.dst)))
     val flush = policy match {
@@ -355,7 +355,6 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     * Returns None when the edge does not exist.
     */
   def deleteEdge(src: Int, dst: Int): Option[ReorderStats] = {
-    require(loaded, "call loadGraph before deletion")
     reorder()
     val w = graph.removeEdge(src, dst)
     if (w.isNaN) return None

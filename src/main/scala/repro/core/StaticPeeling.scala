@@ -28,24 +28,17 @@ object StaticPeeling {
       val v = heap.popMin()
       seq(i) = v
       wts(i) = w
+      // Take v's edges off the weights of its neighbours still in the heap.
       g.checkVertex(v)
-      unpeel(heap, g.outNbrs(v), g.outWts(v), g.outCount(v))
-      unpeel(heap, g.inNbrs(v), g.inWts(v), g.inCount(v))
+      val nbrs = g.nbrs(v); val ews = g.wts(v); val cnt = g.count(v)
+      var k = 0
+      while (k < cnt) {
+        if (heap.contains(nbrs(k))) heap.addTo(nbrs(k), -ews(k))
+        k += 1
+      }
       i += 1
     }
     PeelOrder.fromArrays(seq, wts, n - 1)
-  }
-
-  /** Take a peeled vertex's edges `(nbrs(i), ws(i))`, `i < cnt`, off the
-    * weights of its neighbours still in the heap.
-    */
-  private def unpeel(heap: IndexedMinHeap, nbrs: Array[Int], ws: Array[Double], cnt: Int): Unit = {
-    var i = 0
-    while (i < cnt) {
-      val x = nbrs(i)
-      if (heap.contains(x)) heap.addTo(x, -ws(i))
-      i += 1
-    }
   }
 
   /** Convenience: peel and detect in one call (the "from scratch on every

@@ -118,29 +118,29 @@ object StreamReplay {
     }
   }
 
-  /** Replay `increments` in arrival order through `spade`, which must be
-    * loaded with no pending edges; its `FlushPolicy` decides when edges
+  /** Replay `increments` in arrival order through `spade`, which must have
+    * no pending edges; its `FlushPolicy` decides when edges
     * flush. One timing rule for every policy: maintenance is the call that
     * flushed, detect is the spotting walk after it, and the flushed edges
     * complete once both are done. The edges still pending at the end flush
     * at the last arrival.
     */
-  def replay(spade: Spade, increments: Seq[Tx], spotBeta: Double = DefaultSpotBeta): ReplayResult =
-    run(spade, increments, spotBeta, () => System.nanoTime()).result(increments.length)
+  def replay(spade: Spade, increments: Seq[Tx]): ReplayResult =
+    run(spade, increments, () => System.nanoTime()).result(increments.length)
 
   /** The flush → detect → spot loop, timed by `clock` (nanoseconds). */
-  private def run(spade: Spade, increments: Seq[Tx], spotBeta: Double, clock: () => Long): Tally = {
+  private def run(spade: Spade, increments: Seq[Tx], clock: () => Long): Tally = {
     val tally = new Tally
     if (increments.isEmpty) return tally
     // fraudsters known from the initial graph are already banned when the
     // stream starts — every mode (incl. static) gets this head start
-    tally.spots.spot(spade.detectSuspects(spotBeta).members, increments.head.ts - 1.0)
+    tally.spots.spot(spade.detectSuspects(DefaultSpotBeta).members, increments.head.ts - 1.0)
     var prevCompletion = increments.head.ts
     val queued = mutable.ArrayBuffer.empty[Tx]
 
     def flushed(trigger: Double, maintNanos: Long): Unit = {
       val t0 = clock()
-      val suspects = spade.detectSuspects(spotBeta)
+      val suspects = spade.detectSuspects(DefaultSpotBeta)
       val detectNanos = clock() - t0
       val start = math.max(trigger, prevCompletion)
       val completion = start + (maintNanos + detectNanos) / 1e9
@@ -181,8 +181,7 @@ object StreamReplay {
   val StaticTimedPeels = 5
 
   def replayStatic(metric: Suspiciousness, initial: Seq[Tx], increments: Seq[Tx],
-                   oracleGranularity: Int = 20,
-                   spotBeta: Double = DefaultSpotBeta): ReplayResult = {
+                   oracleGranularity: Int = 20): ReplayResult = {
     val full = new Spade(metric)
     full.loadGraph(initial ++ increments)
     StaticPeeling.peel(full.graph) // warm-up
@@ -193,7 +192,7 @@ object StreamReplay {
     }
     val runSec = times.sorted.apply(StaticTimedPeels / 2)
 
-    val capability = detectionCapability(metric, initial, increments, oracleGranularity, spotBeta)
+    val capability = detectionCapability(metric, initial, increments, oracleGranularity)
 
     val t0 = if (increments.isEmpty) 0.0 else increments.head.ts
     def snapshotAfter(ts: Double): Double = {
@@ -221,9 +220,9 @@ object StreamReplay {
     * of the static latency model.
     */
   def detectionCapability(metric: Suspiciousness, initial: Seq[Tx], increments: Seq[Tx],
-                          granularity: Int, spotBeta: Double = DefaultSpotBeta): SpotRecord = {
+                          granularity: Int): SpotRecord = {
     val spade = new Spade(metric, FlushPolicy.Every(granularity))
     spade.loadGraph(initial)
-    run(spade, increments, spotBeta, () => 0L).spots
+    run(spade, increments, () => 0L).spots
   }
 }

@@ -68,7 +68,7 @@ object Suspiciousness {
     * deterministic under replay. `prior` is the optional side-information
     * vertex suspiciousness of the original paper (defaults to 0).
     */
-  final class Fraudar(c: Double = 5.0, prior: Int => Double = _ => 0.0) extends Suspiciousness {
+  final class Fraudar(prior: Int => Double = _ => 0.0) extends Suspiciousness {
     val name = "FD"
     def vsusp(u: Int, g: DynGraph): Double = {
       val p = prior(u)
@@ -79,7 +79,7 @@ object Suspiciousness {
       val objDeg =
         if (tx.dst < g.numVertices) g.inDegree(tx.dst) + 1
         else 1
-      1.0 / math.log(objDeg + c)
+      1.0 / math.log(objDeg + 5.0)
     }
   }
 

@@ -168,8 +168,6 @@ class BatchInsertSpec extends AnyFunSuite {
       intercept[IllegalArgumentException](spade.loadGraph(load.iterator))
       assert(spade.graph.numVertices == 0 && spade.graph.numEdges == 0, s"$load")
       assert(spade.order.length == 0, s"$load")
-      // nothing is loaded: grouped insertion still refuses to run
-      intercept[IllegalArgumentException](spade.insertGrouped(Tx(0, 1, 1.0)))
     }
     spade.loadGraph(paperEdges.iterator)
     val fresh = loadedSpade(Suspiciousness.DW, paperEdges)

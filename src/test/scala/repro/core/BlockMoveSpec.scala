@@ -111,6 +111,42 @@ class BlockMoveSpec extends AnyFunSuite {
     assertMatchesStatic(spade, "second round")
   }
 
+  test("an insertion window that starts and ends deep in one block writes only its own entries") {
+    // The pair 150/151 sits at slots 150/151 of block 0 and stays there
+    // with Δ 76.5 (the next pair has 77). The window writes its first block
+    // in place, so the 150 entries before it are not copied out.
+    val spade = loadedSpade(Suspiciousness.DW, pairs(600))
+    val st = spade.insertEdge(Tx(150, 151, 0.5))
+    assert(st.scanFrom == 150 && st.emitted <= 4, s"$st")
+    assert(spade.lastWritten <= st.emitted, s"wrote ${spade.lastWritten} entries for a window of ${st.emitted}")
+    assertSameAsStatic(spade, "in place")
+  }
+
+  test("updates across the wrap of the kernel's epoch counter match the static peel") {
+    val spade = loadedSpade(Suspiciousness.DW, randomTxs(1500, 4500, 21))
+    val rng = new scala.util.Random(21)
+    val live = scala.collection.mutable.ArrayBuffer.empty[Tx]
+    def edge(): Tx = {
+      val a = rng.nextInt(1500); var b = rng.nextInt(1500)
+      while (b == a) b = rng.nextInt(1500)
+      Tx(a, b, (1 + rng.nextInt(40)) * 0.25)
+    }
+    // The updates below run at epochs -2 and -1; the third wraps to 0.
+    spade.setKernelEpoch(-3)
+    (0 until 8).foreach { step =>
+      step % 4 match {
+        case 0 => val t = edge(); spade.insertEdge(t); live += t
+        case 1 => val ts = Seq.fill(5)(edge()); spade.insertBatchEdges(ts); live ++= ts
+        case 2 =>
+          val t = live.remove(rng.nextInt(live.length))
+          assert(spade.deleteEdge(t.src, t.dst).isDefined, s"step $step")
+        case _ => val t = edge(); spade.insertGrouped(t); spade.flushPending(); live += t
+      }
+      spade.order.checkInvariants()
+      assertMatchesStatic(spade, s"step $step")
+    }
+  }
+
   test("a delete whose hoisted vertices share blocks with whites reads only their stamped slots") {
     // 300 (block 0) and 760 (block 2, slot 248) are tied by a light edge.
     // Deleting it hoists both to the head; 300 pops early, overtaking 301,

@@ -126,6 +126,54 @@ class DynGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("property: the one incidence list matches a reference multiset of directed edges") {
+    (1L to 20L).foreach { seed =>
+      val rng = new scala.util.Random(seed)
+      val n = 2 + rng.nextInt(7) // few vertices: many parallel and antiparallel edges
+      val g = new DynGraph()
+      g.ensureVertex(n - 1)
+      val prior = Array.fill(n)((rng.nextInt(4) * 0.5))
+      (0 until n).foreach(v => g.setVertexWeight(v, prior(v)))
+      val ref = scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Double)]
+      (0 until 400).foreach { step =>
+        val clue = s"seed $seed step $step"
+        val a = rng.nextInt(n); var b = rng.nextInt(n)
+        while (b == a) b = rng.nextInt(n)
+        if (rng.nextInt(5) < 3) {
+          val w = (1 + rng.nextInt(8)) * 0.25 // dyadic: every sum below is exact
+          g.addEdge(a, b, w)
+          ref += ((a, b, w))
+        } else {
+          val w = g.removeEdge(a, b)
+          val i = ref.indexWhere(e => e._1 == a && e._2 == b && e._3 == w)
+          if (w.isNaN) assert(!ref.exists(e => e._1 == a && e._2 == b), s"$clue: ($a, $b) not found")
+          else {
+            assert(i >= 0, s"$clue: removed ($a, $b, $w), which was not there")
+            ref.remove(i)
+          }
+        }
+        assert(g.numEdges == ref.length, clue)
+        val active = Array.fill(n)(rng.nextBoolean())
+        (0 until n).foreach { v =>
+          val out = ref.filter(_._1 == v).map(e => (e._2, e._3))
+          val in = ref.filter(_._2 == v).map(e => (e._1, e._3))
+          assert(g.outDegree(v) == out.length && g.inDegree(v) == in.length, s"$clue: degrees of $v")
+          assert(g.degree(v) == out.length + in.length, s"$clue: degree of $v")
+          val visited = scala.collection.mutable.ArrayBuffer.empty[(Int, Double)]
+          g.foreachIncidentOut(v)((x, w) => visited += ((x, w)))
+          assert(visited.sorted == out.sorted, s"$clue: out-edges of $v")
+          val list = (0 until g.count(v)).map(i => (g.nbrs(v)(i), g.wts(v)(i)))
+          assert(list.sorted == (out ++ in).sorted, s"$clue: incidence list of $v")
+          val all = out ++ in
+          assert(g.incidentWeight(v) == prior(v) + all.map(_._2).sum, s"$clue: incidentWeight of $v")
+          assert(g.peelWeight(v)(_ => true) == g.incidentWeight(v), s"$clue: peelWeight of $v")
+          assert(g.peelWeight(v)(active) == prior(v) + all.filter(e => active(e._1)).map(_._2).sum,
+            s"$clue: peelWeight of $v against an active set")
+        }
+      }
+    }
+  }
+
   test("property: totalF equals sum of priors plus sum of out-edge weights") {
     val g = new DynGraph()
     val rng = new scala.util.Random(7)

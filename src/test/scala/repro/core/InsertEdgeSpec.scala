@@ -105,11 +105,16 @@ class InsertEdgeSpec extends AnyFunSuite {
     assertMatchesStatic(spade, "parallel edges")
   }
 
-  test("inserting into an empty Spade bootstraps via static peel") {
+  test("an empty Spade merges its first inserts and matches the static peel") {
     val spade = new Spade(Suspiciousness.DW)
+    intercept[IllegalArgumentException](spade.deleteEdge(0, 1)) // no vertex 0 yet
     spade.insertEdge(Tx(0, 1, 3.0))
     assert(spade.order.length == 2)
-    assertMatchesStatic(spade, "bootstrap")
+    assertMatchesStatic(spade, "first insert")
+    spade.insertGrouped(Tx(2, 0, 1.0))
+    spade.flushPending()
+    spade.insertBatchEdges(Seq(Tx(3, 1, 2.0), Tx(1, 2, 0.5)))
+    assertMatchesStatic(spade, "later inserts")
   }
 
   test("hybrid metric with vertex priors stays consistent under insertion") {

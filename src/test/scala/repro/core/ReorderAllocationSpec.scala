@@ -36,12 +36,16 @@ class ReorderAllocationSpec extends AnyFunSuite {
       (st, mid - before, deleteBytes)
     }
 
+    // A bounded search, so that a kernel that never recovers 500 vertices
+    // fails here instead of searching forever.
+    val draws = 200
     val big = Iterator.continually {
       val a = seq(rng.nextInt(seq.length))
       var b = a
       while (b == a) b = seq(rng.nextInt(seq.length))
       Tx(a, b, 1.0)
-    }.filter(t => insertAndUndo(t)._1.recovered >= 500).take(4).toList
+    }.take(draws).filter(t => insertAndUndo(t)._1.recovered >= 500).take(4).toList
+    assert(big.length == 4, s"only ${big.length} of $draws random inserts recovered >= 500 vertices")
 
     // Warm up: the scratch arrays reach their size and the JIT compiles.
     (0 until 300).foreach(_ => big.foreach(insertAndUndo))
