@@ -25,9 +25,9 @@ package repro.core
   *    peeling weight against the full vertex set, used both to seed
   *    Algorithm 1 and for the benign-edge test of Definition 4.1.
   */
-final class DynGraph(initialVertexCapacity: Int = 16) {
+final class DynGraph {
 
-  private var cap = math.max(1, initialVertexCapacity)
+  private var cap = 16
 
   private var a      = new Array[Double](cap) // vertex suspiciousness
   private var inc    = new Array[Double](cap) // a(u) + Σ incident edge weight

@@ -43,7 +43,7 @@ object Enumeration {
     * arrays of successive communities share one id space).
     */
   private def residualGraph(g: DynGraph, removed: Array[Boolean]): DynGraph = {
-    val r = new DynGraph(g.numVertices)
+    val r = new DynGraph()
     if (g.numVertices == 0) return r
     r.ensureVertex(g.numVertices - 1)
     var u = 0

@@ -24,18 +24,19 @@ final case class Community(density: Double, members: Array[Int]) {
   *  - The blocks are linked in order and carry strictly increasing `Long`
   *    labels, so "is `x` at or after the frontier" compares `(label, slot)`
   *    in O(1) (`keyOf`) while the merge moves blocks around.
-  *  - Every block keeps its exact max `Δ`, and a running max over blocks
-  *    serves `Detect`'s stop test and the deletion cut. It is redone
-  *    lazily, from the first changed block through the last one and on
-  *    until it comes out unchanged.
-  *  - Every block keeps the dense index of its first entry, so the public
-  *    dense-index API (`start`, `end`, `posOf`, `vertexAt`, ...) keeps its
-  *    meaning; an update writes the base of each block it touches or steps
-  *    over. `vertexAt` finds its block from the block it found last, or by
-  *    a walk from the head.
-  *  - Every pair of adjacent blocks holds more than 256 entries (merges of
-  *    small neighbours restore it after each update), so there are at most
-  *    `2·⌈|V|/256⌉ + 1` blocks.
+  *  - Every change of a block's size, max or place marks it dirty: the
+  *    dirty range runs from the first such block through the last one.
+  *  - Every block keeps its exact max `Δ`, a running max over blocks (for
+  *    `Detect`'s stop test and the deletion cut), and the dense index of
+  *    its first entry (so `start`, `end`, `posOf`, `vertexAt`, ... keep
+  *    their flat meaning). `refresh` redoes both over the dirty range and
+  *    on until they come out unchanged; every read of them refreshes
+  *    first. Nothing reads a dense index while a merge runs, so the merge
+  *    kernel works on locations and labels only. `vertexAt` finds its
+  *    block from the block it found last, or by a walk from the head.
+  *  - Every pair of adjacent blocks holds more than 256 entries: `tidy`
+  *    merges small neighbours in and around the dirty range after each
+  *    merge, so there are at most `2·⌈|V|/256⌉ + 1` blocks.
   */
 final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
   import PeelOrder._
@@ -62,9 +63,9 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
 
   private var loc: Array[Int] = Array.fill(Growth.capacity(0, math.max(1, maxVertexId + 1)))(-1)
 
-  // bRun is exact for every block before `runFrom` (all of them when -1).
-  // Blocks with labels in [label(runFrom), runTo] changed since; past them
-  // bRun changes only where a predecessor's did.
+  // bRun and bBase are exact for every block before `runFrom` (all of them
+  // when -1). Blocks with labels in [label(runFrom), runTo] changed since;
+  // past them bRun and bBase change only where a predecessor's did.
   private var runFrom = -1
   private var runTo = Long.MinValue
   private var cursor = -1 // the block `locAt` found last, -1 after a block is linked or unlinked
@@ -95,6 +96,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
 
   /** Dense index of vertex `v` in the order, -1 if it is not in it. */
   def posOf(v: Int): Int = {
+    refresh()
     val l = loc(v)
     if (l < 0) -1 else bBase(l >>> BlockBits) + (l & BlockMask)
   }
@@ -147,13 +149,11 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
         bSize(h) = n + 1
         h
       } else {
-        val h = open(headB, 0)
+        val h = open(headB)
         bSize(h) = 1
-        bMax(h) = Double.NegativeInfinity
         h
       }
     startIdx -= 1
-    bBase(b) = startIdx
     put(b << BlockBits, v, w)
     if (w > bMax(b)) bMax(b) = w
     touch(b)
@@ -242,7 +242,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     * it does not.
     */
   private def walk(beta: Double): Unit = {
-    refreshRun()
+    refresh()
     var suffix = 0.0
     var best = Double.NegativeInfinity
     var cut = Double.NegativeInfinity
@@ -280,7 +280,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     * running max of the blocks from the head, then one block.
     */
   private[core] def firstAtLeast(b: Double, upTo: Int): Int = {
-    refreshRun()
+    refresh()
     val last = upTo >>> BlockBits
     var blk = headB
     while (blk != last && bRun(blk) < b) blk = bNext(blk)
@@ -292,19 +292,23 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     off + s
   }
 
-  /** Redo the running max from `runFrom` through the changed blocks, and
-    * on until it comes out as it was: every later block then keeps its.
+  /** Redo the running max and the dense bases from `runFrom` through the
+    * changed blocks, and on until both come out as they were: every later
+    * block then keeps its.
     */
-  private def refreshRun(): Unit =
+  private def refresh(): Unit =
     if (runFrom >= 0) {
       var b = runFrom
       val p = bPrev(b)
       var run = if (p < 0) Double.NegativeInfinity else bRun(p)
+      var base = if (p < 0) startIdx else bBase(p) + bSize(p)
       while (b >= 0) {
         if (bMax(b) > run) run = bMax(b)
-        if (bLabel(b) > runTo && bRun(b) == run) b = -1
+        if (bLabel(b) > runTo && bRun(b) == run && bBase(b) == base) b = -1
         else {
           bRun(b) = run
+          bBase(b) = base
+          base += bSize(b)
           b = bNext(b)
         }
       }
@@ -312,10 +316,10 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
       runTo = Long.MinValue
     }
 
-  /** Block `b`'s max, or its place in the list, changed: the running max
-    * is stale from `b` on, through `b` at least.
+  /** Block `b`'s size, max or place in the list changed: the running max
+    * and the dense bases are stale from `b` on, through `b` at least.
     */
-  private[core] def touch(b: Int): Unit = {
+  private def touch(b: Int): Unit = {
     if (runFrom < 0 || bLabel(b) < bLabel(runFrom)) runFrom = b
     if (bLabel(b) > runTo) runTo = bLabel(b)
   }
@@ -326,6 +330,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
 
   /** The packed `(block, slot)` location of dense index `p`. */
   private def locAt(p: Int): Int = {
+    refresh()
     // `require` without its per-call message closure: see `IndexedMinHeap.requirePresent`.
     if (p < startIdx || p >= endIdx)
       throw new IllegalArgumentException(s"requirement failed: index $p outside [$startIdx, $endIdx)")
@@ -347,11 +352,8 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
 
   private[core] def headBlock: Int = headB
   private[core] def nextBlock(b: Int): Int = bNext(b)
-  private[core] def prevBlock(b: Int): Int = bPrev(b)
   private[core] def sizeOf(b: Int): Int = bSize(b)
   private[core] def maxOf(b: Int): Double = bMax(b)
-  private[core] def baseOf(b: Int): Int = bBase(b)
-  private[core] def setBase(b: Int, base: Int): Unit = bBase(b) = base
 
   /** Max `Δ` of slots `[from, until)` of block `b`. */
   private[core] def maxOfRange(b: Int, from: Int, until: Int): Double = {
@@ -406,9 +408,9 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
   }
 
   /** A new empty block, linked before block `before` (at the tail when
-    * `before < 0`), whose first entry will have dense index `base`.
+    * `before < 0`).
     */
-  private[core] def open(before: Int, base: Int): Int = {
+  private[core] def open(before: Int): Int = {
     val b = alloc()
     val p = if (before < 0) tailB else bPrev(before)
     bLabel(b) =
@@ -426,7 +428,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     if (l <= (if (p < 0) 0L else bLabel(p)) || (before >= 0 && l >= bLabel(before)) || l > MaxLabel) relabel()
     bSize(b) = 0
     bMax(b) = Double.NegativeInfinity
-    bBase(b) = base
+    touch(b)
     b
   }
 
@@ -434,6 +436,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
   private[core] def seal(b: Int, size: Int, max: Double): Unit = {
     bSize(b) = size
     bMax(b) = max
+    touch(b)
   }
 
   /** Unlink block `b` and return it to the pool. */
@@ -451,11 +454,11 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
   }
 
   /** Keep, of block `b`'s entries `[from, size)`, those whose vertex is
-    * still located there, moved to the front of the block, which then
-    * starts at dense index `base`. Returns how many were dropped; `dropEnd`
-    * is one past the last dropped one, counted from `from`.
+    * still located there, moved to the front of the block. Returns how many
+    * were dropped; `dropEnd` is one past the last dropped one, counted from
+    * `from`.
     */
-  private[core] def compact(b: Int, from: Int, base: Int): Int = {
+  private[core] def compact(b: Int, from: Int): Int = {
     val off = b << BlockBits
     val n = bSize(b)
     var w = 0
@@ -477,7 +480,6 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     }
     bSize(b) = w
     bMax(b) = m
-    bBase(b) = base
     touch(b)
     dropped
   }
@@ -486,28 +488,30 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
   private[core] def lastDropEnd: Int = dropEnd
 
   /** Merge every adjacent pair of blocks holding at most 256 entries
-    * together, from block `from` (the head when -1) through the pair after
-    * block `until` (the tail when -1): the right block's entries move to
-    * the end of the left one.
+    * together, from the block before the dirty range through the pair after
+    * its last block: the right block's entries move to the end of the left
+    * one. Only a block whose size or place changed can be in such a pair,
+    * and every such block is in the dirty range.
     */
-  private[core] def mergeSmall(from: Int, until: Int): Unit = {
-    var a = if (from >= 0) from else headB
-    var last = until
-    while (a >= 0) {
-      val nx = bNext(a)
-      if (nx < 0) a = -1
-      else if (bSize(a) + bSize(nx) <= BlockSize) {
-        val m = copyRun(nx << BlockBits, (a << BlockBits) + bSize(a), bSize(nx))
-        bSize(a) += bSize(nx)
-        if (m > bMax(a)) bMax(a) = m
-        release(nx)
-        touch(a)
-        if (nx == last) last = a
-      } else if (a == last) a = -1
-      else a = nx
+  private[core] def tidy(): Unit =
+    if (runFrom >= 0) {
+      val p = bPrev(runFrom)
+      var a = if (p >= 0) p else runFrom
+      var last = runTo
+      while (a >= 0) {
+        val nx = bNext(a)
+        if (nx < 0) a = -1
+        else if (bSize(a) + bSize(nx) <= BlockSize) {
+          val m = copyRun(nx << BlockBits, (a << BlockBits) + bSize(a), bSize(nx))
+          bSize(a) += bSize(nx)
+          if (m > bMax(a)) bMax(a) = m
+          if (bLabel(nx) >= last) last = bLabel(a)
+          release(nx)
+          touch(a)
+        } else if (bLabel(a) >= last) a = -1
+        else a = nx
+      }
     }
-    if (last >= 0) touch(last) else if (tailB >= 0) touch(tailB)
-  }
 
   private def alloc(): Int =
     if (nFree > 0) { nFree -= 1; freeIds(nFree) }
@@ -557,7 +561,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     */
   private[core] def checkInvariants(): Unit = {
     def fail(msg: String): Nothing = throw new IllegalStateException(msg)
-    refreshRun()
+    refresh()
     var count = 0
     var linked = 0
     var pos = startIdx
@@ -638,7 +642,7 @@ object PeelOrder {
     var i = 0
     while (i < vs.length) {
       val len = math.min(BlockSize, vs.length - i)
-      val b = o.open(-1, i)
+      val b = o.open(-1)
       var s = 0
       var m = Double.NegativeInfinity
       while (s < len) {
@@ -651,7 +655,6 @@ object PeelOrder {
     }
     o.endIdx = vs.length
     o.writes = 0
-    if (o.headB >= 0) { o.touch(o.headB); o.touch(o.tailB) }
     o
   }
 

@@ -13,10 +13,12 @@ package repro.core
   * entry is *stepped over* in O(1), with no copy, no location write and no
   * re-scan, when it holds no black, gray or hoisted entry and its max `Δ`
   * is strictly below the heap's min key: every entry of it is then a white
-  * that Case 1 cannot interrupt, so it keeps its place and only its dense
-  * base moves. Any other block the scan enters is rewritten once: the rest
+  * that Case 1 cannot interrupt, so it keeps its entries and its place in
+  * the list. Any other block the scan enters is rewritten once: the rest
   * go through the merge, and where a window ends the unread rest of the
-  * block moves to its front.
+  * block moves to its front. The kernel works on `(block, slot)` locations
+  * and labels only: the order derives its dense indices and tidies its
+  * small blocks itself, from the range of blocks the merge changed.
   *
   * Stamps are per slot. Invariant: every black, gray or hoisted vertex
   * ahead of the frontier has its slot stamped (`stamp`: a black's slot when
@@ -41,8 +43,8 @@ package repro.core
   * so they are hoisted too. A hoisted vertex's old entry stays until the
   * scan reads it (and skips it) or the merge closes; a merge closes as soon
   * as its heap is empty, and the old entries still ahead then leave their
-  * blocks. After the merge, small neighbouring blocks of the region it
-  * touched are merged.
+  * blocks. After the merge, `PeelOrder.tidy` merges small neighbouring
+  * blocks of the region it changed.
   *
   * Every piece of the merge's state (cursors, window, counters) is a field,
   * and adjacency is walked with `while` loops over `DynGraph`'s raw arrays,
@@ -84,13 +86,7 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   private var ob = -1           // open output block, -1 when none
   private var os = 0            // entries in it
   private var obMax = 0.0
-  private var wrPos = 0         // dense index of the next entry written
-  private var opened = false    // a window has been opened in this merge
   private var inPlace = false   // insertion: a window's first block is its first output block
-  private var firstPrev = -1    // block before the first window (-1: the head)
-  private var lastBlock = -1    // block where the last window closed (-1: the tail)
-  private var scanFrom = 0
-  private var scanTo = 0
   private var span = 0          // entries of the order the windows cover
   private var recovered = 0
   private var edgesTouched = 0L
@@ -187,7 +183,7 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     }
     java.util.Arrays.sort(blacks, 0, nBlacks)
     openWindow(o.locOf(blackAt(0)))
-    run()
+    run((blacks(0) >>> 32).toInt)
   }
 
   /** Deletion merge: `src` and `dst` enter the heap at location `cut`,
@@ -196,10 +192,11 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   def mergeHoisted(o: PeelOrder, cut: Int, src: Int, dst: Int): ReorderStats = {
     begin(o)
     inPlace = false
+    val scanFrom = o.posOf(o.vAt(cut))
     openWindow(cut)
     enterAhead(src)
     enterAhead(dst)
-    run()
+    run(scanFrom)
   }
 
   private def begin(o: PeelOrder): Unit = {
@@ -207,7 +204,6 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     order = o
     reserve(0, o.blockCapacity)
     ob = -1
-    opened = false
     span = 0
     recovered = 0
     edgesTouched = 0L
@@ -243,17 +239,10 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   private def openWindow(l: Int): Unit = {
     kb = l >>> BlockBits
     ks = l & PeelOrder.BlockMask
-    wrPos = order.baseOf(kb)
-    if (!opened) {
-      opened = true
-      firstPrev = order.prevBlock(kb)
-      scanFrom = wrPos + ks
-    }
     if (inPlace) {
       ob = kb
       os = ks
       obMax = order.maxOfRange(kb, 0, ks)
-      wrPos += ks
       entered = true
     } else {
       entered = ks > 0
@@ -269,11 +258,14 @@ private[core] final class ReorderKernel(graph: DynGraph) {
       val n = math.min(until - s, BlockSize - os)
       val m = order.copyRun((kb << BlockBits) | s, (ob << BlockBits) | os, n)
       if (m > obMax) obMax = m
-      os += n; wrPos += n; s += n
+      os += n; s += n
     }
   }
 
-  private def run(): ReorderStats = {
+  /** Run the merge from the open window; `scanFrom`, the dense index where
+    * it starts, was read before anything moved.
+    */
+  private def run(scanFrom: Int): ReorderStats = {
     var bp = 0 // next entry of `blacks(0 until nBlacks)`, sorted by position
     var done = false
     while (!done) {
@@ -328,11 +320,10 @@ private[core] final class ReorderKernel(graph: DynGraph) {
         }
       }
     }
-    order.mergeSmall(firstPrev, lastBlock)
-    order.touch(if (firstPrev >= 0) firstPrev else order.headBlock)
+    order.tidy()
     written = order.writes - written
     order = null // `Spade.loadGraph` may replace the order between merges
-    ReorderStats(scanFrom, scanTo, span, recovered, edgesTouched)
+    ReorderStats(scanFrom, span, recovered, edgesTouched)
   }
 
   /** Emit the white at the frontier, which Case 1 does not interrupt,
@@ -385,8 +376,6 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     if (move) {
       closeOutput()
       val n = order.sizeOf(kb)
-      order.setBase(kb, wrPos)
-      wrPos += n
       span += n
       stepped += n
       kb = order.nextBlock(kb)
@@ -417,13 +406,12 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     order.put((ob << BlockBits) | os, v, w)
     if (w > obMax) obMax = w
     os += 1
-    wrPos += 1
   }
 
   /** A fresh output block, in front of the frontier block. */
   private def openOutput(): Unit = {
     closeOutput()
-    ob = order.open(kb, wrPos)
+    ob = order.open(kb)
     os = 0
     obMax = Double.NegativeInfinity
   }
@@ -516,12 +504,9 @@ private[core] final class ReorderKernel(graph: DynGraph) {
   /** End the current window at the frontier, with the heap empty. The
     * frontier block keeps only its unread entries; the old entries of
     * early-emitted vertices still ahead leave their blocks, and the window
-    * extends over them (their positions changed). Every block passed gets
-    * its new dense base.
+    * extends over them (their positions changed).
     */
   private def close(): Unit = {
-    lastBlock = kb
-    var pos = wrPos
     var extra = 0
     if (kb >= 0 && kb == ob) {
       // An insertion window that ends in its first block: everything read
@@ -538,23 +523,19 @@ private[core] final class ReorderKernel(graph: DynGraph) {
         val examined = order.sizeOf(b) - from
         val dropped =
           if (from > 0 || blockStamp(b) == epoch) {
-            val d = order.compact(b, from, pos)
+            val d = order.compact(b, from)
             // Compaction moved unread entries away from their stamps, and a
             // later window of this insertion may read them.
             if (blockStamp(b) == epoch) restamp(b)
             d
-          } else { order.setBase(b, pos); 0 }
+          } else 0
         if (dropped > 0) {
           extra = passed + order.lastDropEnd
           ahead -= dropped
         }
         passed += examined
-        pos += examined - dropped
         val n = order.nextBlock(b)
-        if (order.sizeOf(b) == 0) {
-          lastBlock = order.prevBlock(b)
-          order.release(b)
-        } else lastBlock = b
+        if (order.sizeOf(b) == 0) order.release(b)
         b = n
         from = 0
         go = ahead > 0 && b >= 0
@@ -562,8 +543,5 @@ private[core] final class ReorderKernel(graph: DynGraph) {
     }
     closeOutput()
     span += extra
-    // Past the gaps between windows (insertion) or the last old entry that
-    // left its block (deletion).
-    scanTo = math.max(wrPos, scanFrom + span)
   }
 }

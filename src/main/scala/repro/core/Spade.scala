@@ -4,21 +4,19 @@ package repro.core
   * `G_T = (V_T, E_T)` of §4.1.
   *
   * @param scanFrom    first absolute sequence index touched (Lemma 4.1 cut)
-  * @param scanTo      one past the last touched index
   * @param emitted     vertices written back (|window|, = `|V_T|`)
   * @param recovered   vertices whose peel weight was recovered from adjacency
   * @param edgesTouched incident-edge visits during the reorder (≈ `|E_T|`)
   */
 final case class ReorderStats(
     scanFrom: Int,
-    scanTo: Int,
     emitted: Int,
     recovered: Int,
     edgesTouched: Long,
 )
 
 object ReorderStats {
-  val zero: ReorderStats = ReorderStats(Int.MaxValue, Int.MinValue, 0, 0, 0L)
+  val zero: ReorderStats = ReorderStats(Int.MaxValue, 0, 0, 0L)
 }
 
 /** When `Spade.insertGrouped` reorders its pending edges. The paper's
@@ -86,7 +84,7 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
   private var _order: PeelOrder = PeelOrder.empty
 
   // The merge kernel and its reusable scratch (allocation-free steady state).
-  private val kernel = new ReorderKernel(graph)
+  private[core] val kernel = new ReorderKernel(graph)
 
   // Both endpoints of every edge added since the last reorder, in pairs:
   // the black set of the next reorder.
@@ -230,21 +228,6 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
     * reported, not only the single argmax. Same pruned walk as `detect`.
     */
   def detectSuspects(beta: Double = Spade.DefaultSpotBeta): Community = _order.detectThreshold(beta)
-
-  /** Entries the last merge stepped over as whole blocks (for tests). */
-  private[core] def lastSteppedOver: Int = kernel.lastSteppedOver
-
-  /** Entries the last merge wrote into blocks of the order (for tests). */
-  private[core] def lastWritten: Long = kernel.lastWritten
-
-  /** Slots the last merge stamped (for tests). */
-  private[core] def lastStamped: Int = kernel.lastStamped
-
-  /** Entries the last merge read through the per-vertex mark tests (for tests). */
-  private[core] def lastMarkReads: Int = kernel.lastMarkReads
-
-  /** Set the merge kernel's epoch counter (for tests of its wrap). */
-  private[core] def setKernelEpoch(e: Int): Unit = kernel.setEpoch(e)
 
   // ------------------------------------------------------------------
   // Incremental insertion (§4.1 / §4.2)

@@ -167,6 +167,9 @@ object StreamReplay {
     tally
   }
 
+  /** Timed static peels whose median is `replayStatic`'s run duration. */
+  val StaticTimedPeels = 5
+
   /** The static baseline (the DG/DW/FD columns): from-scratch peeling runs
     * back to back; an edge is answered by the first run whose snapshot was
     * taken at or after its arrival. The run duration `E_s` is the median of
@@ -177,9 +180,6 @@ object StreamReplay {
     * `detectionCapability` at `oracleGranularity` edges, since the static
     * algorithm detects exactly what the incremental one does — only later.
     */
-  /** Timed static peels whose median is `replayStatic`'s run duration. */
-  val StaticTimedPeels = 5
-
   def replayStatic(metric: Suspiciousness, initial: Seq[Tx], increments: Seq[Tx],
                    oracleGranularity: Int = 20): ReplayResult = {
     val full = new Spade(metric)

@@ -45,11 +45,11 @@ class BlockMoveSpec extends AnyFunSuite {
     val u = seq.find(spade.graph.degree(_) == 0).get
     val st = spade.insertEdge(Tx(u, seq.last, 500.0))
     assert(st.emitted > 20 * 256, s"window ${st.emitted}")
-    assert(spade.lastSteppedOver >= 0.8 * st.emitted,
-      s"stepped over ${spade.lastSteppedOver} of ${st.emitted} entries")
+    assert(spade.kernel.lastSteppedOver >= 0.8 * st.emitted,
+      s"stepped over ${spade.kernel.lastSteppedOver} of ${st.emitted} entries")
     // The whites of the blocks it rewrites take no mark test.
-    assert(spade.lastMarkReads <= spade.lastStamped,
-      s"${spade.lastMarkReads} mark reads, ${spade.lastStamped} stamped slots")
+    assert(spade.kernel.lastMarkReads <= spade.kernel.lastStamped,
+      s"${spade.kernel.lastMarkReads} mark reads, ${spade.kernel.lastStamped} stamped slots")
     assertSameAsStatic(spade, "far jump")
     assertMatchesStatic(spade, "far jump")
   }
@@ -62,7 +62,7 @@ class BlockMoveSpec extends AnyFunSuite {
     val u = seq.find(spade.graph.degree(_) == 0).get
     val st = spade.insertEdge(Tx(u, seq.last, 500.0))
     assert(st.emitted > 20 * 256, s"window ${st.emitted}")
-    assert(spade.lastWritten <= 3 * 256, s"wrote ${spade.lastWritten} entries for a window of ${st.emitted}")
+    assert(spade.kernel.lastWritten <= 3 * 256, s"wrote ${spade.kernel.lastWritten} entries for a window of ${st.emitted}")
     assertSameAsStatic(spade, "far jump")
   }
 
@@ -74,9 +74,9 @@ class BlockMoveSpec extends AnyFunSuite {
 
   /** The stamp counters of the last merge: every mark read is of a stamped slot. */
   private def assertFewMarkReads(spade: Spade, atMost: Int, clue: String): Unit = {
-    assert(spade.lastMarkReads <= spade.lastStamped,
-      s"$clue: ${spade.lastMarkReads} mark reads, ${spade.lastStamped} stamped slots")
-    assert(spade.lastMarkReads <= atMost, s"$clue: ${spade.lastMarkReads} mark reads")
+    assert(spade.kernel.lastMarkReads <= spade.kernel.lastStamped,
+      s"$clue: ${spade.kernel.lastMarkReads} mark reads, ${spade.kernel.lastStamped} stamped slots")
+    assert(spade.kernel.lastMarkReads <= atMost, s"$clue: ${spade.kernel.lastMarkReads} mark reads")
   }
 
   test("a gray neighbour deep inside a block that the scan enters at slot 0 takes the mark tests") {
@@ -102,8 +102,8 @@ class BlockMoveSpec extends AnyFunSuite {
     val spade = loadedSpade(Suspiciousness.DW, pairs(600))
     spade.insertBatchEdges(Seq(Tx(100, 101, 250.5), Tx(700, 1199, 1000.0), Tx(720, 721, 0.5)))
     assertSameAsStatic(spade, "second window")
-    assert(spade.lastStamped >= 256, s"${spade.lastStamped} stamped slots: block 2 was not restamped")
-    assert(spade.lastMarkReads <= spade.lastStamped)
+    assert(spade.kernel.lastStamped >= 256, s"${spade.kernel.lastStamped} stamped slots: block 2 was not restamped")
+    assert(spade.kernel.lastMarkReads <= spade.kernel.lastStamped)
     assertMatchesStatic(spade, "second window")
     // And a second round on the order the first one left.
     spade.insertBatchEdges(Seq(Tx(40, 41, 250.5), Tx(640, 1198, 1000.0), Tx(660, 661, 0.5)))
@@ -118,7 +118,7 @@ class BlockMoveSpec extends AnyFunSuite {
     val spade = loadedSpade(Suspiciousness.DW, pairs(600))
     val st = spade.insertEdge(Tx(150, 151, 0.5))
     assert(st.scanFrom == 150 && st.emitted <= 4, s"$st")
-    assert(spade.lastWritten <= st.emitted, s"wrote ${spade.lastWritten} entries for a window of ${st.emitted}")
+    assert(spade.kernel.lastWritten <= st.emitted, s"wrote ${spade.kernel.lastWritten} entries for a window of ${st.emitted}")
     assertSameAsStatic(spade, "in place")
   }
 
@@ -132,7 +132,7 @@ class BlockMoveSpec extends AnyFunSuite {
       Tx(a, b, (1 + rng.nextInt(40)) * 0.25)
     }
     // The updates below run at epochs -2 and -1; the third wraps to 0.
-    spade.setKernelEpoch(-3)
+    spade.kernel.setEpoch(-3)
     (0 until 8).foreach { step =>
       step % 4 match {
         case 0 => val t = edge(); spade.insertEdge(t); live += t
@@ -227,7 +227,7 @@ class BlockMoveSpec extends AnyFunSuite {
               val t = live.remove(i)
               assert(spade.deleteEdge(t.src, t.dst).isDefined, clue)
           }
-          moved += spade.lastSteppedOver
+          moved += spade.kernel.lastSteppedOver
           // Inserts run no detect, so the next merge meets the blocks this
           // one rewrote still dirty; every 5th step checks `detect` too.
           assertSameAsStatic(spade, clue)

@@ -135,7 +135,7 @@ class InsertEdgeSpec extends AnyFunSuite {
     val spade = loadedSpade(Suspiciousness.DW, randomTxs(50, 200, 9))
     val st = spade.insertEdge(Tx(3, 17, 2.0))
     assert(st.emitted <= spade.order.length)
-    assert(st.scanFrom >= spade.order.start && st.scanTo <= spade.order.end)
+    assert(st.scanFrom >= spade.order.start && st.scanFrom + st.emitted <= spade.order.end)
     assert(st.recovered >= 1) // at least one endpoint re-evaluated
   }
 

@@ -112,6 +112,28 @@ class PeelOrderSpec extends AnyFunSuite {
     }
   }
 
+  test("tidy merges a small pair in front of the blocks a merge changed") {
+    // A one-entry head block (a prepend onto full blocks), then the edit of
+    // a merge whose heap held entries over a stepped-over block: block A's
+    // first 150 entries go to a new block N in front of it, its other 106
+    // to a new tail block, and A is released. Head + N now hold 151.
+    val n = 768
+    val o = PeelOrder.fromArrays((0 until n).toArray, Array.tabulate(n)(i => (i % 7).toDouble), n)
+    o.prepend(n, 0.0)
+    assert(o.posOf(n) == -1) // refreshes: the edit below is the whole dirty range
+    val a = o.nextBlock(o.headBlock)
+    val bits = PeelOrder.BlockBits
+    val nb = o.open(a)
+    o.seal(nb, 150, o.copyRun(a << bits, nb << bits, 150))
+    val tail = o.open(-1)
+    o.seal(tail, 106, o.copyRun((a << bits) + 150, tail << bits, 106))
+    o.release(a)
+    o.tidy()
+    val vs = n +: ((0 until 150) ++ (256 until n) ++ (150 until 256))
+    assertAgrees(o, vs, vs.map(v => if (v == n) 0.0 else (v % 7).toDouble), n + 1,
+      new scala.util.Random(5), "after tidy")
+  }
+
   test("merges of random inserts, batches and deletes match a flat static re-peel (DW, DG)") {
     Seq[Suspiciousness](Suspiciousness.DW, Suspiciousness.DG).foreach { m =>
       (1L to 3L).foreach { seed =>
@@ -127,16 +149,25 @@ class PeelOrderSpec extends AnyFunSuite {
           Tx(a, b, (1 + rng.nextInt(40)) * 0.25)
         }
         (0 until 40).foreach { step =>
-          rng.nextInt(3) match {
-            case 0 => val t = fresh(); spade.insertEdge(t); live += t
-            case 1 => val ts = Seq.fill(1 + rng.nextInt(20))(fresh()); spade.insertBatchEdges(ts); live ++= ts
-            case _ =>
-              val t = live.remove(rng.nextInt(live.length))
-              assert(spade.deleteEdge(t.src, t.dst).isDefined)
+          // A run of 1-4 merges, each with its own `tidy`, between checks.
+          (0 until 1 + rng.nextInt(4)).foreach { _ =>
+            rng.nextInt(3) match {
+              case 0 => val t = fresh(); spade.insertEdge(t); live += t
+              case 1 => val ts = Seq.fill(1 + rng.nextInt(20))(fresh()); spade.insertBatchEdges(ts); live ++= ts
+              case _ =>
+                val t = live.remove(rng.nextInt(live.length))
+                assert(spade.deleteEdge(t.src, t.dst).isDefined)
+            }
           }
           val ref = StaticPeeling.peel(spade.graph)
-          assertAgrees(spade.order, ref.toVertexSeq, ref.toWeightSeq, spade.graph.numVertices, rng,
-            s"${m.name} seed $seed step $step")
+          val clue = s"${m.name} seed $seed step $step"
+          // `posOf` first, so that its own refresh derives the dense index
+          // (`checkInvariants` refreshes the order too).
+          val o = spade.order
+          ref.toVertexSeq.zipWithIndex.foreach { case (v, i) =>
+            if (o.posOf(v) != o.start + i) fail(s"$clue: posOf($v) = ${o.posOf(v)}, static ${o.start + i}")
+          }
+          assertAgrees(o, ref.toVertexSeq, ref.toWeightSeq, spade.graph.numVertices, rng, clue)
         }
       }
     }
