@@ -4,7 +4,9 @@ package repro.core
   * the peeling sequence.
   *
   * @param density  `g(S) = f(S)/|S|` of the community
-  * @param members  the community's vertices (suffix of the peeling order)
+  * @param members  the community's vertices (suffix of the peeling order).
+  *                 `PeelOrder` hands the same array to every caller until
+  *                 the order changes, so callers must not mutate it.
   */
 final case class Community(density: Double, members: Array[Int]) {
   lazy val memberSet: Set[Int] = members.toSet
@@ -70,11 +72,19 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
   private var runTo = Long.MinValue
   private var cursor = -1 // the block `locAt` found last, -1 after a block is linked or unlinked
 
+  // The answer of the last walk at `SpotBeta`, kept while `stale` is false,
+  // and the two communities built from it on first request.
+  private var stale = true
   private var walked = 0
   private var walkBest = 0.0
   private var walkBestLen = 0
   private var walkCutLen = 0
+  private var bestCommunity: Community = null
+  private var spotCommunity: Community = null
   private var dropEnd = 0
+
+  /** Walks run so far (for tests of the kept answer). */
+  private[core] var walks = 0L
 
   /** Entries written into blocks so far (for tests of the merge's cost). */
   private[core] var writes = 0L
@@ -104,7 +114,10 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
   /** True iff vertex `v` is part of the order. */
   def containsVertex(v: Int): Boolean = v >= 0 && v < loc.length && loc(v) >= 0
 
-  /** Entries the last `detect` / `detectThreshold` / `density` walk visited, tail first. */
+  /** Entries the kept walk visited, tail first: the one walk at `SpotBeta`
+    * that `detect`, `density` and `detectThreshold(SpotBeta)` share until
+    * the order changes. A walk at another β does not count here.
+    */
   def lastWalkLength: Int = walked
 
   /** Overwrite the entry at dense index `p`. */
@@ -185,18 +198,20 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     * backward walk over the weight vector finds
     * `arg max_i g(S_i) = f(S_i)/|S_i|`. Ties prefer the *larger* set, so a
     * union of equally dense fraud blocks is returned whole (Appendix B,
-    * Fig. 14). The walk stops at the community (see `walk`).
+    * Fig. 14). The answer comes from the kept walk (see `walk`): the same
+    * instance until the order changes.
     */
   def detect(): Community = {
-    walk(1.0)
-    community(walkBestLen)
+    spot()
+    if (bestCommunity == null) bestCommunity = community(walkBestLen)
+    bestCommunity
   }
 
-  /** The density of `detect`'s community, from the same walk, without
+  /** The density of `detect`'s community, from the kept walk, without
     * copying its members.
     */
   def density(): Double = {
-    walk(1.0)
+    spot()
     if (walkBestLen == 0) 0.0 else walkBest
   }
 
@@ -204,13 +219,40 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     * is still within `beta` of the best — equally dense fraud instances
     * "commonly form a dense subgraph" and are all returned, without paying
     * for a full enumeration per update. A suffix qualifies when its density
-    * reaches `beta · best · (1 - CutTolerance)`. One pruned walk.
+    * reaches `beta · best · (1 - CutTolerance)`. At `SpotBeta` this is the
+    * kept walk's answer, the same instance until the order changes; any
+    * other β walks afresh and keeps nothing.
     */
-  def detectThreshold(beta: Double): Community = {
-    require(beta > 0 && beta <= 1, s"beta must be in (0, 1], got $beta")
-    walk(beta)
-    community(walkCutLen)
-  }
+  def detectThreshold(beta: Double): Community =
+    if (beta == SpotBeta) {
+      spot()
+      if (spotCommunity == null) spotCommunity = community(walkCutLen)
+      spotCommunity
+    } else {
+      // `require` without its per-call message closure: see `IndexedMinHeap.requirePresent`.
+      if (!(beta > 0 && beta <= 1))
+        throw new IllegalArgumentException(s"requirement failed: beta must be in (0, 1], got $beta")
+      // The walk also rewrites best and bestLen, which do not depend on β,
+      // so a kept answer stays valid; `walked` stays the kept walk's.
+      val kept = walked
+      val cutLen = walk(beta)
+      walked = kept
+      community(cutLen)
+    }
+
+  /** Walk at `SpotBeta` unless the order is unchanged since the last such
+    * walk. `touch`, `release` and `relabel` mark it changed; that covers
+    * every change of what a walk or a community reads, since `prepend`,
+    * `set`, `compact` and `tidy` touch what they change, and a merge seals
+    * (touches) every block it writes.
+    */
+  private def spot(): Unit =
+    if (stale) {
+      walkCutLen = walk(SpotBeta)
+      stale = false
+      bestCommunity = null
+      spotCommunity = null
+    }
 
   private def community(len: Int): Community = {
     val members = new Array[Int](len)
@@ -227,9 +269,12 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
 
   /** The one backward walk behind the detectors. It tracks the argmax
     * suffix (ties to the larger set) and the longest suffix reaching
-    * `cut = beta · best · (1 - CutTolerance)`. `best` only grows, so every
-    * suffix longer than the final argmax is tested against the final `cut`;
-    * shorter ones cannot be the answer, since the argmax itself qualifies.
+    * `cut = beta · best · (1 - CutTolerance)`, and returns the latter's
+    * length; the argmax and the entries visited go to `walkBest`,
+    * `walkBestLen` and `walked`. `best` only grows, so every suffix longer
+    * than the final argmax is tested against the final `cut`; shorter ones
+    * cannot be the answer, since the argmax itself qualifies. The argmax
+    * does not depend on β: a lower cut only lets the walk stop later.
     *
     * Stop rule, exact by the mediant inequality
     * `(a+b)/(m+k) ≤ max(a/m, b/k)`: at the start of a block, if the current
@@ -240,12 +285,32 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     * the walk skips (it covers summation rounding up to ~10^6 entries).
     * Cost: O(|answer| + 256) once the community stands out, O(length) when
     * it does not.
+    *
+    * No division per entry: the walk decides `dens = fl(suffix / len)`
+    * against `best` and `cut` by products computed once per change of
+    * `best`, and divides only inside a relative band `Band = F` around
+    * `best·len` or `cut·len` (and once per block for the stop test):
+    *  - `suffix < fl(best·(1−F))·len` ⇒ `dens < best`;
+    *  - `suffix ≥ fl(cut·(1+F))·len` ⇒ `dens ≥ cut`;
+    *  - `suffix < fl(cut·(1−F))·len` ⇒ `dens < cut`.
+    * `len` is exact below 2⁵³, and every `Δ` is non-negative, so `best` and
+    * `cut` are too. Each side of these tests is then within three roundings
+    * of relative size 2⁻⁵³ of its exact value (the product, the product by
+    * `len`, and the division; the constant `1 ± F` is itself within 2⁻⁵³),
+    * far inside `F`: e.g. `suffix < fl(fl(best·(1−F))·len)` gives
+    * `dens ≤ (suffix/len)(1+2⁻⁵³) < best·(1−F+2⁻⁵³)(1+2⁻⁵³)³ < best`. So
+    * every decision equals the division's, exact ties included.
     */
-  private def walk(beta: Double): Unit = {
+  private def walk(beta: Double): Int = {
     refresh()
+    walks += 1
     var suffix = 0.0
     var best = Double.NegativeInfinity
     var cut = Double.NegativeInfinity
+    // suffix < bestLo·len ⇒ dens < best; suffix < cutLo·len ⇒ dens < cut; suffix ≥ cutHi·len ⇒ dens ≥ cut
+    var bestLo = Double.NegativeInfinity
+    var cutLo = Double.NegativeInfinity
+    var cutHi = Double.NegativeInfinity
     var bestLen = 0
     var cutLen = 0
     var len = 0
@@ -254,25 +319,32 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     while (b >= 0 && !stop) {
       val off = b << BlockBits
       var s = bSize(b) - 1
-      var dens = 0.0
       while (s >= 0) {
         suffix += wtArr(off + s)
         len += 1
-        dens = suffix / len
-        if (dens >= best) {
-          best = dens; bestLen = len; cutLen = len
-          cut = beta * best * (1 - CutTolerance)
-        } else if (dens >= cut) cutLen = len
+        val n = len.toDouble
+        if (suffix < bestLo * n) {
+          if (suffix >= cutHi * n || (suffix >= cutLo * n && suffix / n >= cut)) cutLen = len
+        } else {
+          val dens = suffix / n
+          if (dens >= best) {
+            best = dens; bestLen = len; cutLen = len
+            cut = beta * best * (1 - CutTolerance)
+            bestLo = best * (1 - Band)
+            cutLo = cut * (1 - Band)
+            cutHi = cut * (1 + Band)
+          } else if (dens >= cut) cutLen = len
+        }
         s -= 1
       }
       val p = bPrev(b)
-      if (p >= 0) stop = dens < cut && bRun(p) < cut * (1 - Slack)
+      if (p >= 0) stop = suffix / len < cut && bRun(p) < cut * (1 - Slack)
       b = p
     }
     walked = len
     walkBest = best
     walkBestLen = bestLen
-    walkCutLen = cutLen
+    cutLen
   }
 
   /** Location of the first entry up to location `upTo` whose `Δ` is at
@@ -317,9 +389,11 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     }
 
   /** Block `b`'s size, max or place in the list changed: the running max
-    * and the dense bases are stale from `b` on, through `b` at least.
+    * and the dense bases are stale from `b` on, through `b` at least, and
+    * so is the kept walk.
     */
   private def touch(b: Int): Unit = {
+    stale = true
     if (runFrom < 0 || bLabel(b) < bLabel(runFrom)) runFrom = b
     if (bLabel(b) > runTo) runTo = bLabel(b)
   }
@@ -449,6 +523,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     cursor = -1
     freeIds(nFree) = b
     nFree += 1
+    stale = true
     if (runFrom == b) runFrom = -1
     if (n >= 0) touch(n)
   }
@@ -541,6 +616,7 @@ final class PeelOrder private (capacityBlocks: Int, maxVertexId: Int) {
     var b = headB
     while (b >= 0) { bLabel(b) = l; l += Gap; b = bNext(b) }
     if (runFrom >= 0) runTo = Long.MaxValue
+    stale = true
   }
 
 
@@ -617,6 +693,16 @@ object PeelOrder {
     * `beta · best` still qualifies, whatever the metric's density scale.
     */
   val CutTolerance = 1e-9
+
+  /** The spotting β (`Spade.DefaultSpotBeta`): the one β whose walk the
+    * order keeps (see `detectThreshold`).
+    */
+  val SpotBeta = 0.6
+
+  /** Relative band around `best·len` and `cut·len` inside which the walk
+    * divides (see `walk`).
+    */
+  private val Band = 1e-12
 
   /** Relative margin of the walk's stop test against float rounding. */
   private val Slack = 1e-9

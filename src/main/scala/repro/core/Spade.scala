@@ -52,7 +52,8 @@ object FlushPolicy {
   *  - `deleteEdge`         — Appendix C.1: a forward cut, then the same
   *                           merge with both endpoints hoisted to the cut
   *  - `detect`             — densest prefix community (a backward walk
-  *                           that stops at the community, see `PeelOrder`)
+  *                           that stops past the suspects, see `PeelOrder`;
+  *                           `detectSuspects` reads the same walk)
   *
   * Every insertion adds its edges to `graph` when it is called (`add`) and
   * reorders later (`reorder`): at once for `insertEdge` and
@@ -102,7 +103,8 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
 
   /** Community from the most recent detect or flush (no recomputation).
     * A delete computes only its density (grouping's urgency test reads
-    * that); its members are built from the order on the first read.
+    * that); its members are built on the first read, from the walk the
+    * order kept for that density.
     */
   def community: Community = {
     if (lastCommunity == null) lastCommunity = _order.detect()
@@ -214,8 +216,11 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
   // Detection
   // ------------------------------------------------------------------
 
-  /** Recompute the densest prefix community and cache it. The walk costs
-    * O(|community| + 256) once the community stands out, O(|V|) at worst.
+  /** Recompute the densest prefix community and cache it. The walk runs
+    * at the spotting β and the order keeps it until it changes, so the
+    * suspects after it cost no second walk. It costs O(|suspects| + 256)
+    * once the community stands out (the suspect suffix holds the
+    * community), O(|V|) at worst.
     */
   def detect(): Community = {
     lastCommunity = _order.detect()
@@ -225,7 +230,8 @@ final class Spade(val metric: Suspiciousness, val policy: FlushPolicy = FlushPol
 
   /** Spotting variant (Fig. 14): every vertex in the largest suffix within
     * `beta` of the best density — equally dense fraud instances are all
-    * reported, not only the single argmax. Same pruned walk as `detect`.
+    * reported, not only the single argmax. At the default β this is the
+    * walk `detect` ran, kept by the order; another β walks afresh.
     */
   def detectSuspects(beta: Double = Spade.DefaultSpotBeta): Community = _order.detectThreshold(beta)
 
@@ -362,5 +368,5 @@ object Spade {
     * when it sits in the largest suffix within 60% of the best density
     * (Fig. 14 semantics — equally dense instances are all reported).
     */
-  val DefaultSpotBeta = 0.6
+  val DefaultSpotBeta: Double = PeelOrder.SpotBeta
 }

@@ -29,11 +29,13 @@ final class SpotRecord {
   *
   *  - *maintenance time*: measured wall time of the calls that flushed
   *    (batch reorder plus `detect`);
-  *  - *detect time*: measured wall time of the spotting walk
-  *    (`detectSuspects`) after each flush;
+  *  - *detect time*: measured wall time of the spotting call
+  *    (`detectSuspects`) after each flush. The flush's own `detect` walks
+  *    at the spotting β and the order keeps that walk, so the walk's cost
+  *    is in the maintenance time and this call copies the suspects;
   *  - *latency* `L` (Eq. 4): virtual response time — an edge arriving at
   *    `τ_i` is responded to when the flush containing it and the spotting
-  *    walk after it complete; measured processing wall-time is mapped 1:1
+  *    call after it complete; measured processing wall-time is mapped 1:1
   *    into virtual seconds;
   *  - *queueing time*: flush start minus arrival (§5.2 notes 99.99% of
   *    batch-mode latency is queueing);
@@ -121,7 +123,7 @@ object StreamReplay {
   /** Replay `increments` in arrival order through `spade`, which must have
     * no pending edges; its `FlushPolicy` decides when edges
     * flush. One timing rule for every policy: maintenance is the call that
-    * flushed, detect is the spotting walk after it, and the flushed edges
+    * flushed, detect is the spotting call after it, and the flushed edges
     * complete once both are done. The edges still pending at the end flush
     * at the last arrival.
     */

@@ -168,6 +168,72 @@ class DetectSpec extends AnyFunSuite {
     assertDetectMatchesFull(o, "planted block")
   }
 
+  private def same(got: Community, want: Community, clue: String): Unit = {
+    assert(got.density == want.density, s"$clue: density ${got.density} vs ${want.density}")
+    assert(got.members.sameElements(want.members), s"$clue: members differ (|got|=${got.size}, |want|=${want.size})")
+  }
+
+  test("an unchanged order walks once for detect, density and the suspects, and keeps their instances") {
+    val spade = loadedSpade(Suspiciousness.DW, randomTxs(700, 2000, 3))
+    spade.insertEdge(Tx(1, 2, 5.0))
+    val o = spade.order
+    val w0 = o.walks
+    val c = spade.detect()
+    val s = spade.detectSuspects(PeelOrder.SpotBeta)
+    assert(o.density() == c.density)
+    assert(spade.detect() eq c)
+    assert(spade.community eq c)
+    assert(spade.detectSuspects() eq s)
+    assert(o.walks == w0 + 1, s"${o.walks - w0} walks")
+    same(c, fullDetect(o), "detect")
+    same(s, fullDetectThreshold(o, PeelOrder.SpotBeta), "suspects")
+    // A walk at another β keeps nothing: the kept answer stands.
+    same(o.detectThreshold(0.3), fullDetectThreshold(o, 0.3), "β = 0.3")
+    assert(o.detect() eq c)
+    assert(o.detectThreshold(PeelOrder.SpotBeta) eq s)
+    assert(o.walks == w0 + 2, s"${o.walks - w0} walks")
+  }
+
+  test("every change of the order makes the next detector call walk again") {
+    val n = 700
+    val block = (0 until 12).map(i => 100 + 37 * i)
+    val planted = for (a <- block; b <- block if a < b) yield Tx(a, b, 6.0)
+    val spade = loadedSpade(Suspiciousness.DW, randomTxs(n, 2000, 4) ++ planted, FlushPolicy.Every(1000))
+    val o = spade.order
+    /** `change` once the answer is kept: then exactly one walk, and the full walks' answer. */
+    def afterward(what: String, walks: Int = 1)(change: => Unit): Unit = {
+      spade.detect()
+      spade.detectSuspects()
+      val w0 = o.walks
+      change
+      val c = o.detect()
+      val s = o.detectThreshold(PeelOrder.SpotBeta)
+      assert(o.walks == w0 + walks, s"$what: ${o.walks - w0} walks")
+      same(c, fullDetect(o), s"$what: detect")
+      same(s, fullDetectThreshold(o, PeelOrder.SpotBeta), s"$what: suspects")
+    }
+    afterward("insertEdge")(spade.insertEdge(Tx(3, 4, 2.0)))
+    afterward("insertBatchEdges")(spade.insertBatchEdges(Seq(Tx(5, 6, 1.0), Tx(block(0), 7, 9.0), Tx(8, 9, 0.5))))
+    afterward("a buffered insertGrouped", walks = 0)(assert(spade.insertGrouped(Tx(10, 11, 3.0)).isEmpty))
+    afterward("flushPending")(spade.flushPending()) // its own detect walks
+    afterward("deleteEdge")(assert(spade.deleteEdge(block(1), block(2)).isDefined)) // its density walks
+    afterward("an insert that creates a vertex")(spade.insertEdge(Tx(spade.graph.numVertices, block(3), 4.0)))
+    afterward("set")(o.set(o.end - 1, o.vertexAt(o.end - 1), 1e6))
+    assert(o.detect().size == 1)
+  }
+
+  test("releasing the tail block alone drops the kept answer") {
+    // A merge releases the blocks it has read out and touches the blocks it
+    // writes; this isolates the release. The tail has no next block to
+    // touch, so `release` itself must mark the walk stale. (The released
+    // entries keep their dangling locations: nothing here reads them.)
+    val ws = Array.tabulate(512)(i => if (i >= 256) 10.0 else (i % 5).toDouble)
+    val o = PeelOrder.fromArrays((0 until 512).toArray, ws, 511)
+    assert(o.detect().size == 256)
+    o.release(o.nextBlock(o.headBlock))
+    same(o.detect(), PeelOrder.fromArrays((0 until 256).toArray, ws.take(256), 511).detect(), "after the release")
+  }
+
   test("a uniform graph walks the whole order and returns the full-walk answer") {
     val k = 400
     val clique = for (a <- 0 until k; b <- a + 1 until k) yield Tx(a, b, 1.0)

@@ -42,6 +42,28 @@ class PeelOrderSpec extends AnyFunSuite {
     cutLen
   }
 
+  /** Suffixes of `ws` where a product with no band, `suffix` against
+    * `best·len` or `cut·len` at the running best, decides otherwise than
+    * the division: (against best, against cut).
+    */
+  private def bandlessMisses(ws: IndexedSeq[Double], beta: Double): (Int, Int) = {
+    var suffix = 0.0
+    var best = Double.NegativeInfinity
+    var cut = Double.NegativeInfinity
+    var (missBest, missCut) = (0, 0)
+    var i = ws.length - 1
+    while (i >= 0) {
+      suffix += ws(i)
+      val n = (ws.length - i).toDouble
+      val d = suffix / n
+      if ((suffix < best * n) != (d < best)) missBest += 1
+      if ((suffix >= cut * n) != (d >= cut)) missCut += 1
+      if (d >= best) { best = d; cut = beta * best * (1 - PeelOrder.CutTolerance) }
+      i -= 1
+    }
+    (missBest, missCut)
+  }
+
   private def assertAgrees(o: PeelOrder, vs: IndexedSeq[Int], ws: IndexedSeq[Double], ids: Int,
                            rng: scala.util.Random, clue: String): Unit = {
     o.checkInvariants()
@@ -110,6 +132,82 @@ class PeelOrderSpec extends AnyFunSuite {
         assertAgrees(o, vs, ws, next, rng, s"n=$n kind=$kind round=$round")
       }
     }
+  }
+
+  test("the walk without a division per entry decides like the division on adversarial vectors") {
+    val rng = new scala.util.Random(77)
+    val beta = PeelOrder.SpotBeta
+    var (missBest, missCut, cases) = (0, 0, 0)
+    def check(ws: Array[Double], clue: String): Unit = {
+      val n = ws.length
+      val vs = (0 until n).toVector
+      val o = PeelOrder.fromArrays(vs.toArray, ws, n)
+      val (best, len) = flatBest(ws)
+      val c = o.detect()
+      assert(c.density == best && c.members.sameElements(vs.takeRight(len)),
+        s"$clue: detect (|got| ${c.size}, flat $len)")
+      assert(o.density() == best, s"$clue: density")
+      Seq(beta, 1.0, 0.2).foreach { b =>
+        val t = o.detectThreshold(b)
+        assert(t.members.sameElements(vs.takeRight(flatCut(ws, b))),
+          s"$clue: detectThreshold($b) (|got| ${t.size}, flat ${flatCut(ws, b)})")
+      }
+      val (mb, mc) = bandlessMisses(ws, beta)
+      missBest += mb; missCut += mc; cases += 1
+    }
+    def ulps(x: Double, k: Int): Double =
+      if (k >= 0) (0 until k).foldLeft(x)((y, _) => math.nextUp(y))
+      else (0 until -k).foldLeft(x)((y, _) => math.nextDown(y))
+
+    // DG-like integer weights in long runs of equal values, and tails that
+    // repeat a short integer pattern: every multiple of the period ties the
+    // best exactly, at densities like 7/3 that no double holds.
+    (1 to 150).foreach { i =>
+      val n = 1 + rng.nextInt(900)
+      val ws = new Array[Double](n)
+      var at = 0
+      while (at < n) {
+        val v = rng.nextInt(7).toDouble
+        val run = 1 + rng.nextInt(300)
+        (at until math.min(n, at + run)).foreach(ws(_) = v)
+        at += run
+      }
+      check(ws, s"runs $i")
+      val pattern = Array.fill(2 + rng.nextInt(6))((1 + rng.nextInt(9)).toDouble)
+      val tail = math.min(n, pattern.length * (1 + rng.nextInt(60)))
+      (0 until tail).foreach(j => ws(n - tail + j) = pattern(j % pattern.length))
+      (0 until n - tail).foreach(j => ws(j) = math.min(ws(j), pattern.min - 1).max(0.0))
+      check(ws, s"periodic tail $i")
+    }
+    // Suffixes within 0-10 ulps of the best: a tail of equal weights with
+    // a few ulps of noise.
+    (1 to 150).foreach { i =>
+      val d = rng.nextDouble() * math.pow(10, rng.nextInt(7) - 2)
+      val n = 1 + rng.nextInt(600)
+      val ws = Array.fill(n)(ulps(d, rng.nextInt(21) - 10))
+      (0 until rng.nextInt(n)).foreach(j => ws(j) = d * rng.nextDouble())
+      check(ws, s"near-best $i")
+    }
+    // A suffix within 1-10 ulps, or 1e-13 relative, of the cut: a heavy
+    // last entry `top` sets best, and m - 1 equal weights before it bring
+    // the m-suffix to the cut; zeros before them.
+    (1 to 400).foreach { i =>
+      val top = 1 + rng.nextDouble() * math.pow(10, rng.nextInt(5))
+      val cut = beta * top * (1 - PeelOrder.CutTolerance)
+      val m = 2 + rng.nextInt(400)
+      val w0 = (cut * m - top) / (m - 1)
+      val w =
+        if (rng.nextBoolean()) ulps(w0, (1 + rng.nextInt(10)) * (if (rng.nextBoolean()) 1 else -1))
+        else w0 * (1 + (if (rng.nextBoolean()) 1e-13 else -1e-13))
+      val ws = Array.fill(rng.nextInt(300))(0.0) ++ Array.fill(m - 1)(w) :+ top
+      check(ws, s"near-cut $i")
+    }
+    check(Array.fill(700)(0.0), "all zeros")
+    check(Array(0.0), "one zero")
+    check(Array(2.5), "one entry")
+    // The vectors above must reach the band: else the property is vacuous.
+    assert(missBest > 0 && missCut > 0,
+      s"over $cases vectors, a bandless product misjudged $missBest best and $missCut cut tests")
   }
 
   test("tidy merges a small pair in front of the blocks a merge changed") {

@@ -7,7 +7,8 @@ import org.scalatest.funsuite.AnyFunSuite
 /** The merge kernel keeps its state in fields and walks adjacency with
   * `while` loops, and the order reuses freed blocks, so a reorder allocates
   * a few fixed objects per call (the stats, the batch wrapper), never per
-  * recovered vertex. A delete computes only the community's density.
+  * recovered vertex. A delete computes only the community's density, and
+  * detectors on an unchanged order return the communities it keeps.
   */
 class ReorderAllocationSpec extends AnyFunSuite {
   import TestUtil._
@@ -56,6 +57,32 @@ class ReorderAllocationSpec extends AnyFunSuite {
       assert(deleteBytes < 4096, s"$t: the undoing delete allocated $deleteBytes bytes")
     }
     assertMatchesStatic(spade, "after the insert/delete rounds")
+  }
+
+  test("the suspects right after detect on an unchanged order allocate nothing") {
+    val bean = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    assume(bean.isThreadAllocatedMemorySupported && bean.isThreadAllocatedMemoryEnabled)
+    val tid = Thread.currentThread().getId
+    def allocated(f: => Unit): Long = {
+      val before = bean.getThreadAllocatedBytes(tid)
+      f
+      bean.getThreadAllocatedBytes(tid) - before
+    }
+    val spade = loadedSpade(Suspiciousness.DW, randomTxs(2000, 6000, 7))
+    val rng = new scala.util.Random(5)
+    // An update, then the detect/suspects pair that builds the kept
+    // communities, then the same pair again on the unchanged order.
+    (0 until 3000).foreach { i =>
+      val a = rng.nextInt(2000)
+      var b = rng.nextInt(2000)
+      while (b == a) b = rng.nextInt(2000)
+      spade.insertEdge(Tx(a, b, (1 + rng.nextInt(40)) * 0.25))
+      spade.detect()
+      spade.detectSuspects(PeelOrder.SpotBeta)
+      spade.detect()
+      val bytes = allocated(spade.detectSuspects(PeelOrder.SpotBeta))
+      if (i >= 2900) assert(bytes == 0, s"insert $i: the suspects allocated $bytes bytes")
+    }
   }
 
   test("the first two new accounts after a load copy no per-vertex array") {
